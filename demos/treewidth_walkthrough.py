@@ -52,4 +52,3 @@ for use_reduce in (True, False):
 w, m = solve_treewidth(g, td)
 print(f"\noptimum {w} via {m.edge_pairs()}")
 print(f"oracle agrees: {brute_mwcm(g, edge_limit=40).optimum == w}")
-print(f"per-vertex sweep agrees: {solve_treewidth(g, td, pi_sweep=True)[0] == w}")

@@ -186,6 +186,8 @@ def parse_steiner_text(text: str) -> SteinerInstance:
                 raise FormatError(f"line {no}: terminal {t} out of range 1..{n}")
             terminals.append(t - 1)
         elif kind == "k":
+            if len(toks) != 2:
+                raise FormatError(f"line {no}: expected 'k <budget>'")
             budget = _int(toks[1], no)
         else:
             raise FormatError(f"line {no}: unknown directive {kind!r}")
@@ -225,6 +227,8 @@ def parse_setcover_text(text: str) -> SetCoverInstance:
                     raise FormatError(f"line {no}: element {e} out of range 1..{q}")
             sets.append({e - 1 for e in elems})
         elif kind == "k":
+            if len(toks) != 2:
+                raise FormatError(f"line {no}: expected 'k <budget>'")
             budget = _int(toks[1], no)
         else:
             raise FormatError(f"line {no}: unknown directive {kind!r}")
@@ -325,6 +329,8 @@ def parse_td_text(text: str) -> TreeDecomposition:
         elif kind == "b":
             if nbags is None:
                 raise FormatError(f"line {no}: bag before the 's td' header")
+            if len(toks) < 2:
+                raise FormatError(f"line {no}: expected 'b <id> <vertices...>'")
             bag_id = _int(toks[1], no)
             if not (1 <= bag_id <= nbags):
                 raise FormatError(f"line {no}: bag id {bag_id} out of range 1..{nbags}")
@@ -444,6 +450,8 @@ def parse_assignment_text(text: str) -> tuple[tuple, Union[int, None]]:
                 vals.append(tok == "1")
             assignment = tuple(vals)
         elif toks[0] == "i":
+            if len(toks) != 2:
+                raise FormatError(f"line {no}: expected 'i <instance>'")
             instance = _int(toks[1], no)
         else:
             raise FormatError(f"line {no}: expected 'a <bits...>' or 'i <instance>'")

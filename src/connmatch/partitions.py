@@ -18,8 +18,9 @@ greedy basis over GF(2), visiting rows by descending weight, preserves
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .graphs import GraphError
 
@@ -196,6 +197,28 @@ def with_block(ground: Iterable, block: Iterable) -> Partition:
 # ---------------------------------------------------------------------------
 # weighted partition sets
 
+# Canonical overlay of two label tuples, keyed by ``(la, lb)``; a dict only
+# inside an ``overlay_memo()`` block.
+_overlay_memo: Optional[dict] = None
+
+
+@contextmanager
+def overlay_memo() -> Iterator[None]:
+    """Share join overlays across all ``join`` calls inside the block.
+
+    The overlay of two label tuples depends on nothing else, so one solve
+    repeats the same few overlays across many cells. The memo is dropped on
+    exit, also on an exception, so no memory or warm state outlives the block.
+    """
+    global _overlay_memo
+    outer = _overlay_memo
+    _overlay_memo = {}
+    try:
+        yield
+    finally:
+        _overlay_memo = outer
+
+
 # entry traces for witness reconstruction:
 #   None                     base entry, no matched edges recorded
 #   ("e", edge_id, trace)    edge taken on top of a child entry
@@ -359,7 +382,10 @@ class WeightedPartitionSet:
         return WeightedPartitionSet(ground, out)
 
     def join(self, other: "WeightedPartitionSet") -> "WeightedPartitionSet":
-        """Pairwise overlay of two cells over the union ground set."""
+        """Pairwise overlay of two cells over the union ground set.
+
+        Inside an :func:`overlay_memo` block, overlays are shared across calls.
+        """
         a = self
         b = other
         if a.ground != b.ground:
@@ -367,13 +393,16 @@ class WeightedPartitionSet:
             a = a.insert(union_ground - set(a.ground))
             b = b.insert(union_ground - set(b.ground))
         g = len(a.ground)
+        memo = _overlay_memo if _overlay_memo is not None else {}
         out = {}
         for la, (wa, ta) in a.entries.items():
             for lb, (wb, tb) in b.entries.items():
-                rep = list(la)
-                for i in range(g):
-                    _union(rep, i, lb[i])
-                key = _canon_from_uf(rep)
+                key = memo.get((la, lb))
+                if key is None:
+                    rep = list(la)
+                    for i in range(g):
+                        _union(rep, i, lb[i])
+                    key = memo[(la, lb)] = _canon_from_uf(rep)
                 w = wa + wb
                 cur = out.get(key)
                 if cur is None or w > cur[0]:

@@ -17,14 +17,16 @@ the matched weight so far. Transitions:
   are dropped.
 * join: combine children cells whose matched sets partition ``S``, with the
   other side's matched vertices counted half-matched, overlaying partitions
-  and adding weights.
+  and adding weights. A left cell ``(Sy, Uy)`` combines only with right
+  cells ``(Sz, Sy | (Uy - Sz))`` for ``Sz`` a subset of ``Uy``, so each left
+  cell looks up its at most ``2^|Uy|`` partners instead of scanning the
+  right table; partners are visited in right-table order, so cells are
+  built exactly as a scan over all pairs would build them.
 
 A completed connected matching surfaces exactly where its last saturated
 vertex ``v`` is forgotten: the child cell ``({v}, {})`` holds it as a
 single-block entry. Scanning every forget node therefore reads off the
-optimum in one pass; the per-vertex sweep mandated by the read-off at a
-chosen root vertex is available as ``pi_sweep=True`` and produces identical
-results (tests pin this).
+optimum in one pass.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .graphs import GraphError, Matching, WeightedGraph, is_connected
-from .partitions import WeightedPartitionSet, trace_edges
+from .partitions import WeightedPartitionSet, overlay_memo, trace_edges
 from .treedecomp import NiceTreeDecomposition, TreeDecomposition, make_nice, validate_td
 
 Cell = tuple[frozenset, frozenset]
@@ -48,6 +50,14 @@ def _accumulate(table: dict, cell: Cell, wps: WeightedPartitionSet) -> None:
         table[cell] = wps.copy()
     else:
         cur.union_into(wps)
+
+
+def _splits(u: frozenset) -> list[tuple[frozenset, frozenset]]:
+    """Every ``(sz, u - sz)`` with ``sz`` a subset of ``u``."""
+    subsets = [frozenset()]
+    for v in u:
+        subsets += [sz | {v} for sz in subsets]
+    return [(sz, u - sz) for sz in subsets]
 
 
 def _node_table(
@@ -74,11 +84,12 @@ def _node_table(
             _accumulate(table, (s, u), wps)  # v stays unused
             selected = s | u
             links = nbrs_v & selected
-            half = wps.insert([v]).glue({v} | links)
+            inserted = wps.insert([v])
+            half = inserted.glue({v} | links)
             _accumulate(table, (s, u | {v}), half)
             for mate in u & nbrs_v:
                 eid = g.edge_id(v, mate)
-                merged = wps.insert([v]).glue({v, mate} | links)
+                merged = inserted.glue({v, mate} | links)
                 matched = merged.shift(g.weight(eid), edge=eid)
                 _accumulate(table, (s | {v, mate}, u - {mate}), matched)
         return {cell: _reduce_cell(wps, use_reduce) for cell, wps in table.items()}
@@ -100,15 +111,22 @@ def _node_table(
     if kind == "join":
         left, right = child_tables
         bound_factor = 4
+        right_pos = {cell: i for i, cell in enumerate(right)}
+        splits: dict = {}
         for (sy, uy), a in left.items():
-            for (sz, uz), b in right.items():
-                if sy & sz:
-                    continue
-                shared = uy - sz
-                if shared != uz - sy or not (sz <= uy) or not (sy <= uz):
-                    continue
+            by_u = splits.get(uy)
+            if by_u is None:
+                by_u = splits[uy] = _splits(uy)
+            partners = []
+            for sz, shared in by_u:
+                partner = (sz, sy | shared)
+                i = right_pos.get(partner)
+                if i is not None:
+                    partners.append((i, sz, shared, partner))
+            partners.sort()  # right-table positions are unique
+            for _, sz, shared, partner in partners:
                 cell = (sy | sz, shared)
-                _accumulate(table, cell, a.join(b))
+                _accumulate(table, cell, a.join(right[partner]))
                 wps = table[cell]
                 if use_reduce and len(wps) > bound_factor * (1 << max(len(wps.ground) - 1, 0)):
                     table[cell] = wps.reduce()
@@ -146,31 +164,6 @@ def _run_dp(
     return best
 
 
-def _run_dp_with_root_cell(
-    g: WeightedGraph,
-    nd: NiceTreeDecomposition,
-    use_reduce: bool,
-) -> Optional[tuple]:
-    """Per-root-vertex variant: read the child-of-root cell ({pi}, {})."""
-    tables: dict[int, dict] = {}
-    root_child = nd.nodes[nd.root].children[0]
-    answer = None
-    for x in nd.postorder():
-        node = nd.nodes[x]
-        kids = node.children
-        child_tabs = [tables[c] for c in kids]
-        tables[x] = _node_table(g, nd, x, child_tabs, use_reduce)
-        if x == root_child:
-            cell = tables[x].get((frozenset([nd.pi]), frozenset()))
-            if cell is not None:
-                top = cell.best()
-                if top is not None:
-                    answer = (top[0], top[2])
-        for c in kids:
-            del tables[c]
-    return answer
-
-
 def _witness(g: WeightedGraph, candidate: Optional[tuple]) -> tuple[int, Matching]:
     if candidate is None or candidate[0] <= 0:
         return 0, Matching(g, [])
@@ -186,15 +179,12 @@ def solve_treewidth(
     td: Optional[TreeDecomposition] = None,
     *,
     use_reduce: bool = True,
-    pi_sweep: bool = False,
 ) -> tuple[int, Matching]:
     """Optimum connected matching weight and witness via the treewidth DP.
 
     ``td`` defaults to a min-fill heuristic decomposition. ``use_reduce``
     toggles the representative-set pruning (results must not change; the
-    flag exists for the equivalence harness). ``pi_sweep`` switches to one
-    DP run per choice of the last-forgotten vertex instead of the
-    all-forget-nodes read-off; both strategies return the same optimum.
+    flag exists for the equivalence harness).
     """
     if g.n == 0:
         raise GraphError("treewidth solver needs a non-empty graph")
@@ -206,16 +196,8 @@ def solve_treewidth(
         td = heuristic_td(g)
     validate_td(g, td)
 
-    if pi_sweep:
-        best = None
-        for pi in range(g.n):
-            nd = make_nice(td, pi)
-            candidate = _run_dp_with_root_cell(g, nd, use_reduce)
-            if candidate is not None and (best is None or candidate[0] > best[0]):
-                best = candidate
-        return _witness(g, best)
-
     pi0 = min(set().union(*td.bags))
     nd = make_nice(td, pi0)
-    best = _run_dp(g, nd, use_reduce)
+    with overlay_memo():
+        best = _run_dp(g, nd, use_reduce)
     return _witness(g, best)

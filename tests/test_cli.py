@@ -113,6 +113,12 @@ class TestCliSolveVerify:
         td.write_text("s td 2 2 4\nb 1 1 2\nb 2 3 4\n1 2\n")
         assert main(["solve", "--graph", str(gp), "--td", str(td)]) == 2
 
+    def test_bare_bag_line_is_exit_2(self, k2, tmp_path, capsys):
+        td = tmp_path / "t.td"
+        td.write_text("s td 1 2 2\nb\n")
+        assert main(["solve", "--graph", str(k2), "--td", str(td)]) == 2
+        assert "line 2" in capsys.readouterr().err
+
 
 class TestCliGenerateAndMap:
     def test_generate_starlike_and_verify_lifted(self, tmp_path, capsys):

@@ -84,6 +84,10 @@ class TestSteinerFormat:
         with pytest.raises(FormatError, match="missing 'k'"):
             fileio.parse_steiner_text("p steiner 2 1\ne 1 2\nt 1\n")
 
+    def test_bare_budget_line(self):
+        with pytest.raises(FormatError, match="line 4: expected 'k <budget>'"):
+            fileio.parse_steiner_text("p steiner 2 1\ne 1 2\nt 1\nk\n")
+
 
 class TestSetCoverFormat:
     def test_basic(self):
@@ -94,6 +98,10 @@ class TestSetCoverFormat:
     def test_element_out_of_range(self):
         with pytest.raises(FormatError, match="line 2"):
             fileio.parse_setcover_text("p setcover 2 1\ns 1 5\nk 1\n")
+
+    def test_bare_budget_line(self):
+        with pytest.raises(FormatError, match="line 3: expected 'k <budget>'"):
+            fileio.parse_setcover_text("p setcover 2 1\ns 1 2\nk\n")
 
 
 class TestWcsFormat:
@@ -126,6 +134,10 @@ class TestTdFormat:
         with pytest.raises(FormatError, match="bag 2"):
             fileio.parse_td_text("s td 2 2 3\nb 1 1 2\n1 2\n")
 
+    def test_bare_bag_line(self):
+        with pytest.raises(FormatError, match="line 2: expected 'b <id>"):
+            fileio.parse_td_text("s td 1 2 2\nb\n")
+
 
 class TestCertificateFormat:
     def test_round_trip(self):
@@ -154,6 +166,10 @@ class TestSolutionFormats:
         a, inst = fileio.parse_assignment_text("a 0 1 1\ni 2\n")
         assert a == (False, True, True) and inst == 2
         assert fileio.parse_assignment_text(fileio.write_assignment_text(a, 2)) == (a, 2)
+
+    def test_bare_instance_line(self):
+        with pytest.raises(FormatError, match="line 2: expected 'i <instance>'"):
+            fileio.parse_assignment_text("a 0 1\ni\n")
 
     def test_tree_solution(self):
         edges = [(0, 1), (1, 2)]

@@ -4,6 +4,8 @@ import pytest
 
 from connmatch.graphs import GraphError, WeightedGraph, induced_by_matching_connected
 from connmatch.oracle import brute_mwcm
+from connmatch import partitions
+from connmatch.partitions import WeightedPartitionSet, overlay_memo
 from connmatch.treedecomp import TreeDecomposition, heuristic_td, make_nice
 from connmatch.treewidth_solver import _node_table, solve_treewidth
 from conftest import cycle_graph, path_graph, random_connected_graph
@@ -54,14 +56,6 @@ class TestOracleEquivalence:
             assert w == brute_mwcm(g, edge_limit=64).optimum
             assert m.weight == w
             assert induced_by_matching_connected(g, m)
-
-    def test_pi_sweep_matches_default(self):
-        rng = random.Random(616)
-        for _ in range(40):
-            n = rng.randint(1, 8)
-            g = random_connected_graph(rng, n, rng.randint(0, n))
-            td = heuristic_td(g)
-            assert solve_treewidth(g, td)[0] == solve_treewidth(g, td, pi_sweep=True)[0]
 
 
 def _tables_per_node(g, nd, use_reduce):
@@ -119,3 +113,75 @@ class TestReduceSoundness:
             g = random_connected_graph(rng, n, rng.randint(0, n))
             td = heuristic_td(g)
             assert solve_treewidth(g, td)[0] == solve_treewidth(g, td, use_reduce=False)[0]
+
+
+def _reference_join(left, right):
+    """The join step as a scan over every (left cell, right cell) pair,
+    without reduce: the reference the partner lookup must match."""
+    table = {}
+    for (sy, uy), a in left.items():
+        for (sz, uz), b in right.items():
+            if sy & sz:
+                continue
+            shared = uy - sz
+            if shared != uz - sy or not (sz <= uy) or not (sy <= uz):
+                continue
+            cell = (sy | sz, shared)
+            joined = a.join(b)
+            cur = table.get(cell)
+            if cur is None:
+                table[cell] = joined
+            else:
+                cur.union_into(joined)
+    return table
+
+
+class TestJoinLookup:
+    def test_matches_all_pairs_scan(self, monkeypatch):
+        calls = {"n": 0}
+        original = WeightedPartitionSet.join
+
+        def counted(self, other):
+            calls["n"] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(WeightedPartitionSet, "join", counted)
+        rng = random.Random(4242)
+        joins = 0
+        for _ in range(60):
+            n = rng.randint(3, 10)
+            g = random_connected_graph(rng, n, rng.randint(n // 2, 2 * n))
+            nd = make_nice(heuristic_td(g), 0)
+            tables = {}
+            for x in nd.postorder():
+                kids = nd.nodes[x].children
+                child_tabs = [tables[c] for c in kids]
+                if nd.nodes[x].kind == "join":
+                    joins += 1
+                    before = calls["n"]
+                    ref = _reference_join(*child_tabs)
+                    mid = calls["n"]
+                    tables[x] = _node_table(g, nd, x, child_tabs, False)
+                    assert calls["n"] - mid == mid - before
+                    assert list(tables[x]) == list(ref)
+                    for cell, wps in tables[x].items():
+                        assert wps.ground == ref[cell].ground
+                        assert wps.entries == ref[cell].entries
+                else:
+                    tables[x] = _node_table(g, nd, x, child_tabs, False)
+                for c in kids:
+                    del tables[c]
+        assert joins >= 40
+
+
+class TestOverlayMemo:
+    def test_dropped_on_exit_and_on_error(self):
+        a = WeightedPartitionSet.from_weighted((0, 1, 2), [((0, 0, 2), 1), ((0, 1, 1), 2)])
+        b = WeightedPartitionSet.from_weighted((0, 1, 2), [((0, 1, 0), 3)])
+        assert partitions._overlay_memo is None
+        with pytest.raises(RuntimeError):
+            with overlay_memo():
+                assert a.join(b).entries == a.join(b).entries
+                assert len(partitions._overlay_memo) == 2
+                raise RuntimeError
+        assert partitions._overlay_memo is None
