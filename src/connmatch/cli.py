@@ -111,7 +111,7 @@ def _cmd_map_cert(args) -> int:
             raise GraphError("label map does not match the regenerated instance")
 
     if args.direction == "lift":
-        text = Path(args.solution).read_text(encoding="utf-8")
+        text = fileio.read_text(args.solution)
         if inst.kind in ("starlike", "bip4", "planar-bipartite"):
             assignment, _ = fileio.parse_assignment_text(text)
             cert = lift_certificate(inst, assignment)
@@ -135,7 +135,7 @@ def _cmd_map_cert(args) -> int:
 
     # project: certificate file -> source solution file
     if inst.kind == "setcover-wcs":
-        subset = fileio.parse_vertex_set_text(Path(args.cert).read_text(encoding="utf-8"), inst.graph)
+        subset = fileio.parse_vertex_set_text(fileio.read_text(args.cert), inst.graph)
         family = project_certificate(inst, subset)
         Path(args.out).write_text(fileio.write_family_text(family), encoding="utf-8")
         return 0

@@ -49,8 +49,15 @@ def _int(tok: str, no: int, what: str = "integer") -> int:
         raise FormatError(f"line {no}: expected {what}, got {tok!r}") from None
 
 
-def _read(path) -> str:
-    return Path(path).read_text(encoding="utf-8")
+def read_text(path) -> str:
+    """The file's text; bytes that are not UTF-8 raise :class:`FormatError`
+    naming the line they sit on."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"line {line}: file is not valid UTF-8") from None
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +102,7 @@ def parse_graph_text(text: str) -> WeightedGraph:
 
 
 def parse_graph(path) -> WeightedGraph:
-    return parse_graph_text(_read(path))
+    return parse_graph_text(read_text(path))
 
 
 def write_graph_text(g: WeightedGraph) -> str:
@@ -146,7 +153,7 @@ def parse_cnf_text(text: str) -> Cnf:
 
 
 def parse_cnf(path) -> Cnf:
-    return parse_cnf_text(_read(path))
+    return parse_cnf_text(read_text(path))
 
 
 def write_cnf_text(f: Cnf) -> str:
@@ -201,7 +208,7 @@ def parse_steiner_text(text: str) -> SteinerInstance:
 
 
 def parse_steiner(path) -> SteinerInstance:
-    return parse_steiner_text(_read(path))
+    return parse_steiner_text(read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +249,7 @@ def parse_setcover_text(text: str) -> SetCoverInstance:
 
 
 def parse_setcover(path) -> SetCoverInstance:
-    return parse_setcover_text(_read(path))
+    return parse_setcover_text(read_text(path))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +303,7 @@ def parse_wcs_text(text: str) -> VertexWeightedGraph:
 
 
 def parse_wcs(path) -> VertexWeightedGraph:
-    return parse_wcs_text(_read(path))
+    return parse_wcs_text(read_text(path))
 
 
 def write_wcs_text(g: VertexWeightedGraph) -> str:
@@ -359,7 +366,7 @@ def parse_td_text(text: str) -> TreeDecomposition:
 
 
 def parse_td(path) -> TreeDecomposition:
-    return parse_td_text(_read(path))
+    return parse_td_text(read_text(path))
 
 
 def write_td_text(td: TreeDecomposition, n: int) -> str:
@@ -395,7 +402,7 @@ def parse_certificate_text(text: str, g: WeightedGraph) -> Matching:
 
 
 def parse_certificate(path, g: WeightedGraph) -> Matching:
-    return parse_certificate_text(_read(path), g)
+    return parse_certificate_text(read_text(path), g)
 
 
 def write_certificate_text(m: Matching) -> str:
@@ -509,7 +516,7 @@ def parse_map_text(text: str) -> dict:
 
 
 def parse_map(path) -> dict:
-    return parse_map_text(_read(path))
+    return parse_map_text(read_text(path))
 
 
 def write_map_text(labels: dict) -> str:

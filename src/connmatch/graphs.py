@@ -7,6 +7,7 @@ construction and safe to share between concurrent solves.
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -299,21 +300,23 @@ def two_coloring(g: WeightedGraph) -> Optional[tuple[int, ...]]:
 
 
 def _mcs_order(g: WeightedGraph) -> list[int]:
-    # maximum-cardinality search; visit order, ties by smallest id
-    n = g.n
-    weight = [0] * n
-    visited = [False] * n
+    # maximum-cardinality search; visit order, ties by smallest id. The heap
+    # holds (-weight, v). Weights only grow, so a vertex's newest entry pops
+    # before its older ones, which then find it visited.
+    weight = [0] * g.n
+    visited = [False] * g.n
+    heap = [(0, v) for v in range(g.n)]
     order = []
-    for _ in range(n):
-        best = -1
-        for v in range(n):
-            if not visited[v] and (best == -1 or weight[v] > weight[best]):
-                best = v
+    while heap:
+        _, best = heapq.heappop(heap)
+        if visited[best]:
+            continue
         visited[best] = True
         order.append(best)
         for u in g.neighbors(best):
             if not visited[u]:
                 weight[u] += 1
+                heapq.heappush(heap, (-weight[u], u))
     return order
 
 

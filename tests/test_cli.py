@@ -119,6 +119,18 @@ class TestCliSolveVerify:
         assert main(["solve", "--graph", str(k2), "--td", str(td)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_utf8_graph_is_exit_2(self, tmp_path, capsys):
+        gp = tmp_path / "bad.gr"
+        gp.write_bytes(b"p wcm 2 1\ne 1 2 \xff\n")
+        assert main(["solve", "--graph", str(gp)]) == 2
+        assert "line 2: file is not valid UTF-8" in capsys.readouterr().err
+
+    def test_non_utf8_td_is_exit_2(self, k2, tmp_path, capsys):
+        td = tmp_path / "bad.td"
+        td.write_bytes(b"s td 1 2 2\nb 1 1 \xff2\n")
+        assert main(["solve", "--graph", str(k2), "--td", str(td)]) == 2
+        assert "line 2: file is not valid UTF-8" in capsys.readouterr().err
+
 
 class TestCliGenerateAndMap:
     def test_generate_starlike_and_verify_lifted(self, tmp_path, capsys):
@@ -146,6 +158,27 @@ class TestCliGenerateAndMap:
         ]) == 0
         assignment, _ = fileio.parse_assignment_text(back.read_text())
         assert assignment == (True, False, True)
+
+    def test_map_cert_non_utf8_inputs_are_exit_2(self, tmp_path, capsys):
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 3 1\n1 -2 3 0\n")
+        sol = tmp_path / "sol.txt"
+        sol.write_bytes(b"c solution\na 1 0 \xff\n")
+        assert main([
+            "map-cert", "starlike", "--cnf", str(cnf),
+            "--direction", "lift", "--solution", str(sol), "--out", str(tmp_path / "c"),
+        ]) == 2
+        assert "line 2: file is not valid UTF-8" in capsys.readouterr().err
+
+        sc = tmp_path / "s.setcover"
+        sc.write_text("p setcover 1 1\ns 1\nk 1\n")
+        cert = tmp_path / "bad.cert"
+        cert.write_bytes(b"\xfe\n")
+        assert main([
+            "map-cert", "setcover-wcs", "--setcover", str(sc),
+            "--direction", "project", "--cert", str(cert), "--out", str(tmp_path / "f"),
+        ]) == 2
+        assert "line 1: file is not valid UTF-8" in capsys.readouterr().err
 
     def test_generate_steiner(self, tmp_path, capsys):
         sp = tmp_path / "s.steiner"

@@ -139,6 +139,23 @@ class TestTdFormat:
             fileio.parse_td_text("s td 1 2 2\nb\n")
 
 
+class TestNonUtf8:
+    @pytest.mark.parametrize(
+        "parse, data, line",
+        [
+            (fileio.parse_graph, b"p wcm 2 1\ne 1 2 \xff\n", 2),
+            (fileio.parse_graph, b"\xc3p wcm 2 1\ne 1 2 1\n", 1),
+            (fileio.parse_td, b"s td 2 2 3\nb 1 1 2\r\nb 2 2 \xe9\n1 2\n", 3),
+        ],
+        ids=["graph-line-2", "graph-line-1", "td-crlf-line-3"],
+    )
+    def test_reports_line(self, tmp_path, parse, data, line):
+        path = tmp_path / "bad"
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match=f"^line {line}: file is not valid UTF-8$"):
+            parse(path)
+
+
 class TestCertificateFormat:
     def test_round_trip(self):
         g = cycle_graph([1, 2, 3, 4])

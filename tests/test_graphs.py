@@ -6,8 +6,10 @@ from connmatch.graphs import (
     GraphError,
     Matching,
     WeightedGraph,
+    _mcs_order,
     articulation_points,
     check_peo,
+    chordal_peo,
     classify,
     diameter,
     induced_by_matching_connected,
@@ -19,10 +21,43 @@ from conftest import (
     complete_graph,
     cycle_graph,
     path_graph,
+    random_chordal_graph,
     random_connected_graph,
     random_tree,
     star_graph,
 )
+
+
+def reference_mcs_order(g: WeightedGraph) -> list[int]:
+    """Maximum-cardinality search by a full scan per step (quadratic)."""
+    n = g.n
+    weight = [0] * n
+    visited = [False] * n
+    order = []
+    for _ in range(n):
+        best = -1
+        for v in range(n):
+            if not visited[v] and (best == -1 or weight[v] > weight[best]):
+                best = v
+        visited[best] = True
+        order.append(best)
+        for u in g.neighbors(best):
+            if not visited[u]:
+                weight[u] += 1
+    return order
+
+
+def reference_chordal_peo(g: WeightedGraph):
+    order = list(reversed(reference_mcs_order(g)))
+    return tuple(order) if check_peo(g, order) else None
+
+
+def tree_plus_chords(rng: random.Random, n: int, chords: int) -> WeightedGraph:
+    edges = {(u, v): w for u, v, w in random_tree(rng, n).edges}
+    while len(edges) < n - 1 + chords:
+        u, v = sorted(rng.sample(range(n), 2))
+        edges.setdefault((u, v), rng.randint(-10, 10))
+    return WeightedGraph(n, [(u, v, w) for (u, v), w in edges.items()])
 
 
 class TestConstruction:
@@ -151,6 +186,37 @@ class TestClassify:
                 assert brute_is_chordal(g)
             else:
                 assert not brute_is_chordal(g)
+
+
+class TestMcsMatchesReference:
+    def test_random_graphs(self):
+        rng = random.Random(13)
+        chordal_seen = 0
+        for i in range(200):
+            n = rng.randint(1, 30)
+            if i % 2:
+                g = random_chordal_graph(rng, n)
+            else:
+                g = random_connected_graph(rng, n, rng.randint(0, n))
+            assert _mcs_order(g) == reference_mcs_order(g)
+            peo = chordal_peo(g)
+            assert peo == reference_chordal_peo(g)
+            chordal_seen += peo is not None
+        assert 100 <= chordal_seen < 200
+
+    def test_disconnected(self):
+        g = WeightedGraph(7, [(0, 5, 1), (5, 3, 1), (1, 2, 1), (2, 6, 1), (6, 1, 1)])
+        assert _mcs_order(g) == reference_mcs_order(g)
+        assert chordal_peo(g) == reference_chordal_peo(g)
+
+    @pytest.mark.parametrize("chordal", [True, False])
+    def test_large(self, chordal):
+        rng = random.Random(17)
+        g = random_chordal_graph(rng, 2500) if chordal else tree_plus_chords(rng, 2500, 300)
+        assert _mcs_order(g) == reference_mcs_order(g)
+        peo = chordal_peo(g)
+        assert peo == reference_chordal_peo(g)
+        assert (peo is not None) == chordal
 
 
 class TestArticulations:

@@ -1,8 +1,11 @@
+import importlib.util
 import random
+from collections import deque
+from pathlib import Path
 
 import pytest
 
-from connmatch.graphs import WeightedGraph
+from connmatch.graphs import GraphError, WeightedGraph, is_connected
 from connmatch.treedecomp import (
     NiceTreeDecomposition,
     TdError,
@@ -12,6 +15,132 @@ from connmatch.treedecomp import (
     validate_td,
 )
 from conftest import complete_graph, cycle_graph, path_graph, random_connected_graph, random_tree
+
+
+def _load_bench_instances():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("bench_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench = _load_bench_instances()
+
+
+def bench_graph(instance) -> WeightedGraph:
+    n, edges = instance[:2]
+    return WeightedGraph(n, edges)
+
+
+# Reference versions: the quadratic code the library used before the heap and
+# the bag index. The library must return exactly what these return.
+
+
+def reference_validate_td(g: WeightedGraph, td: TreeDecomposition) -> int:
+    nbags = len(td.bags)
+    if nbags == 0:
+        raise TdError("decomposition has no bags")
+    adj = [[] for _ in td.bags]
+    for i, j in td.tree_edges:
+        if not (0 <= i < nbags and 0 <= j < nbags) or i == j:
+            raise TdError(f"bag-tree edge ({i}, {j}) is out of range or a loop")
+        adj[i].append(j)
+        adj[j].append(i)
+    if len(td.tree_edges) != nbags - 1:
+        raise TdError(f"bag graph is not a tree: {nbags} bags, {len(td.tree_edges)} edges")
+    seen = [False] * nbags
+    seen[0] = True
+    queue = deque([0])
+    count = 1
+    while queue:
+        i = queue.popleft()
+        for j in adj[i]:
+            if not seen[j]:
+                seen[j] = True
+                count += 1
+                queue.append(j)
+    if count != nbags:
+        raise TdError("bag graph is not a tree: disconnected")
+
+    covered = set().union(*td.bags) if td.bags else set()
+    for v in range(g.n):
+        if v not in covered:
+            raise TdError(f"vertex coverage fails: vertex {v} is in no bag")
+    for v in covered:
+        if not (0 <= v < g.n):
+            raise TdError(f"bag mentions unknown vertex {v}")
+
+    for u, v, _ in g.edges:
+        if not any(u in b and v in b for b in td.bags):
+            raise TdError(f"edge coverage fails: edge ({u}, {v}) is in no bag")
+
+    for v in range(g.n):
+        holding = [i for i, b in enumerate(td.bags) if v in b]
+        start = holding[0]
+        hset = set(holding)
+        reached = {start}
+        queue = deque([start])
+        while queue:
+            i = queue.popleft()
+            for j in adj[i]:
+                if j in hset and j not in reached:
+                    reached.add(j)
+                    queue.append(j)
+        if len(reached) != len(holding):
+            raise TdError(f"occurrence connectivity fails: bags of vertex {v} are disconnected")
+
+    return td.width
+
+
+def reference_heuristic_td(g: WeightedGraph, method: str = "min-fill") -> TreeDecomposition:
+    if g.n == 0:
+        raise GraphError("cannot decompose the empty graph")
+    if not is_connected(g):
+        raise GraphError("heuristic decomposition expects a connected graph")
+    if method not in ("min-degree", "min-fill"):
+        raise GraphError(f"unknown elimination method: {method}")
+
+    nbrs = [set(g.neighbors(v)) for v in range(g.n)]
+    alive = set(range(g.n))
+    elim_pos = {}
+    bags = []
+
+    def fill_count(v: int) -> int:
+        ns = nbrs[v]
+        missing = 0
+        for a in ns:
+            missing += len(ns - nbrs[a]) - 1
+        return missing // 2
+
+    while alive:
+        if method == "min-degree":
+            v = min(alive, key=lambda x: (len(nbrs[x]), x))
+        else:
+            v = min(alive, key=lambda x: (fill_count(x), len(nbrs[x]), x))
+        bag = frozenset(nbrs[v] | {v})
+        elim_pos[v] = len(bags)
+        bags.append(bag)
+        ns = list(nbrs[v])
+        for i, a in enumerate(ns):
+            for b in ns[i + 1 :]:
+                if b not in nbrs[a]:
+                    nbrs[a].add(b)
+                    nbrs[b].add(a)
+        for a in ns:
+            nbrs[a].discard(v)
+        nbrs[v] = set()
+        alive.remove(v)
+
+    tree_edges = []
+    for i, bag in enumerate(bags):
+        rest = [u for u in bag if elim_pos[u] > i]
+        if rest:
+            nxt = min(rest, key=lambda u: elim_pos[u])
+            tree_edges.append((i, elim_pos[nxt]))
+        elif i + 1 < len(bags):
+            tree_edges.append((i, i + 1))
+    return TreeDecomposition.build(bags, tree_edges)
 
 
 class TestValidate:
@@ -77,6 +206,150 @@ class TestHeuristic:
             method = "min-fill" if rng.random() < 0.5 else "min-degree"
             td = heuristic_td(g, method)
             assert validate_td(g, td) >= 0
+
+
+METHODS = ("min-degree", "min-fill")
+
+
+class TestHeuristicMatchesReference:
+    def test_random_connected_graphs(self):
+        rng = random.Random(2024)
+        for _ in range(220):
+            n = rng.randint(1, 30)
+            g = random_connected_graph(rng, n, rng.randint(0, 2 * n))
+            for method in METHODS:
+                assert heuristic_td(g, method) == reference_heuristic_td(g, method)
+
+    @pytest.mark.parametrize(
+        "instance",
+        [
+            bench.band(random.Random(0), 2000),
+            bench.chordal(random.Random(0), 300),
+            bench.ktree_dp(0),
+            bench.small_dense(random.Random(0), 40, 99),
+        ],
+        ids=["band-2000", "chordal-300", "partial-4-tree", "dense-40-99"],
+    )
+    def test_benchmark_shapes(self, instance):
+        g = bench_graph(instance)
+        for method in METHODS:
+            td = heuristic_td(g, method)
+            assert td == reference_heuristic_td(g, method)
+            assert validate_td(g, td) == reference_validate_td(g, td) == td.width
+
+    def test_errors_unchanged(self):
+        for g, method in [
+            (WeightedGraph(0, []), "min-fill"),
+            (WeightedGraph(3, [(0, 1, 1)]), "min-fill"),
+            (path_graph([1]), "max-degree"),
+        ]:
+            with pytest.raises(GraphError) as new:
+                heuristic_td(g, method)
+            with pytest.raises(GraphError) as ref:
+                reference_heuristic_td(g, method)
+            assert str(new.value) == str(ref.value)
+
+
+def _corruptions(rng: random.Random, g: WeightedGraph, td: TreeDecomposition):
+    """Yield ``(message prefix, graph, decomposition)`` triples, each breaking
+    the valid ``td`` for ``g``. The prefix names the check that must fail, or
+    is ``None`` where the edit can trip an earlier check first."""
+    bags = [set(b) for b in td.bags]
+    edges = list(td.tree_edges)
+    nb = len(bags)
+
+    def with_bags(new_bags):
+        return TreeDecomposition.build(new_bags, edges)
+
+    def with_edges(new_edges):
+        return TreeDecomposition.build(bags, new_edges)
+
+    v = rng.randrange(g.n)
+    yield "vertex coverage fails", g, with_bags([b - {v} for b in bags])
+
+    if g.m:
+        a, b, _ = g.edges[rng.randrange(g.m)]
+        yield None, g, with_bags([bag - {a} if b in bag else bag for bag in bags])
+    absent = [(a, b) for a in range(g.n) for b in range(a + 1, g.n) if not g.has_edge(a, b)]
+    uncovered = [(a, b) for a, b in absent if not any(a in bag and b in bag for bag in bags)]
+    if uncovered:
+        a, b = rng.choice(uncovered)
+        yield "edge coverage fails", WeightedGraph(g.n, list(g.edges) + [(a, b, 1)]), td
+
+    adj = [set() for _ in range(nb)]
+    for i, j in edges:
+        adj[i].add(j)
+        adj[j].add(i)
+    holders = {i for i in range(nb) if v in bags[i]}
+    far = [i for i in range(nb) if i not in holders and not adj[i] & holders]
+    if far:
+        i = rng.choice(far)
+        yield "occurrence connectivity fails", g, with_bags([b | {v} if k == i else b for k, b in enumerate(bags)])
+
+    i = rng.randrange(nb)
+    unknown = {g.n, g.n + 5, -1}
+    yield "bag mentions unknown vertex", g, with_bags([b | unknown if k == i else b for k, b in enumerate(bags)])
+
+    yield "decomposition has no bags", g, TreeDecomposition.build([], [])
+    if not edges:
+        return
+    k = rng.randrange(len(edges))
+    rest = edges[:k] + edges[k + 1 :]
+    yield "bag graph is not a tree", g, with_edges(rest)
+    yield "bag-tree edge", g, with_edges(rest + [(0, nb)])
+    missing = [(i, j) for i in range(nb) for j in range(i + 1, nb) if j not in adj[i]]
+    if missing:
+        yield "bag graph is not a tree", g, with_edges(edges + [rng.choice(missing)])
+    # Same edge count: cut edge k, then close a cycle on one side of the cut.
+    side = {edges[k][0]}
+    queue = deque(side)
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y not in side and {x, y} != set(edges[k]):
+                side.add(y)
+                queue.append(y)
+    chords = [(i, j) for i, j in missing if i in side and j in side]
+    if chords:
+        yield "bag graph is not a tree: disconnected", g, with_edges(rest + [rng.choice(chords)])
+
+
+class TestValidateMatchesReference:
+    def test_valid_decompositions(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            n = rng.randint(1, 25)
+            g = random_connected_graph(rng, n, rng.randint(0, 2 * n))
+            td = heuristic_td(g, rng.choice(METHODS))
+            assert validate_td(g, td) == reference_validate_td(g, td) == td.width
+
+    def test_corrupted_decompositions(self):
+        rng = random.Random(11)
+        exercised = set()
+        for _ in range(200):
+            n = rng.randint(2, 20)
+            g = random_connected_graph(rng, n, rng.randint(0, 2 * n))
+            td = heuristic_td(g, rng.choice(METHODS))
+            for prefix, bad_g, bad_td in _corruptions(rng, g, td):
+                with pytest.raises(TdError) as new:
+                    validate_td(bad_g, bad_td)
+                with pytest.raises(TdError) as ref:
+                    reference_validate_td(bad_g, bad_td)
+                assert str(new.value) == str(ref.value)
+                if prefix is not None:
+                    assert str(new.value).startswith(prefix)
+                    exercised.add(prefix)
+        assert len(exercised) == 8
+
+
+class TestScale:
+    def test_band_ten_thousand(self):
+        # Both heuristics and validation on a 10^4-vertex band of width 3.
+        # The quadratic versions took ~105 s for this on a 2-core x86_64 VM,
+        # the heap and the bag index ~0.5 s.
+        g = bench_graph(bench.band(random.Random(1), 10_000, offsets=(2, 3)))
+        for method in METHODS:
+            assert validate_td(g, heuristic_td(g, method)) <= 3
 
 
 def check_nice_invariants(g: WeightedGraph, nd: NiceTreeDecomposition):
