@@ -2,10 +2,13 @@
 
 A partition of a ground set is stored canonically: the ground set is a
 sorted vertex tuple and each position is labeled with the smallest position
-of its block. Entries of a :class:`WeightedPartitionSet` map canonical
-partitions to ``(weight, trace)`` pairs where the trace records how the
-entry was derived (which matched edges, which child entries) so a witness
-matching can be rebuilt from any surviving entry.
+of its block. The order is fixed where a ground is built: ``from_weighted``
+sorts, ``insert`` sorts the enlarged ground and ``project`` keeps the order;
+every other operator reuses its operand's ground, and ``join`` and ``glue``
+work within one ground set. Entries of a :class:`WeightedPartitionSet` map
+canonical partitions to ``(weight, trace)`` pairs where the trace records
+how the entry was derived (which matched edges, which child entries) so a
+witness matching can be rebuilt from any surviving entry.
 
 All operators keep only the maximum weight per partition (the problem
 maximizes, so duplicate-removal and the representative-set reduction are
@@ -112,88 +115,6 @@ def _canon_labels(raw: list[int]) -> tuple:
     return _canon_from_uf(rep)
 
 
-def _check_same_ground(p: Partition, q: Partition) -> None:
-    if p.ground != q.ground:
-        raise PartitionError(f"ground sets differ: {p.ground} vs {q.ground}")
-
-
-def coarsens(p: Partition, q: Partition) -> bool:
-    """True iff every block of ``q`` is contained in a block of ``p``."""
-    _check_same_ground(p, q)
-    for i, lab in enumerate(q.labels):
-        if p.labels[i] != p.labels[lab]:
-            return False
-    return True
-
-
-def lattice_join(p: Partition, q: Partition) -> Partition:
-    """Finest common coarsening: connected components of the overlay."""
-    _check_same_ground(p, q)
-    rep = list(range(len(p.ground)))
-    for labels in (p.labels, q.labels):
-        for i, lab in enumerate(labels):
-            _union(rep, i, lab)
-    return Partition(p.ground, _canon_from_uf(rep))
-
-
-def lattice_meet(p: Partition, q: Partition) -> Partition:
-    """Coarsest common refinement: non-empty pairwise block intersections."""
-    _check_same_ground(p, q)
-    first: dict[tuple, int] = {}
-    out = []
-    for i in range(len(p.ground)):
-        key = (p.labels[i], q.labels[i])
-        out.append(first.setdefault(key, i))
-    return Partition(p.ground, tuple(out))
-
-
-def restrict(p: Partition, keep: Iterable) -> Partition:
-    """Drop all elements outside ``keep`` (the down-projection)."""
-    keep = set(keep)
-    if not keep <= set(p.ground):
-        raise PartitionError("restriction set is not a subset of the ground set")
-    idx = [i for i, v in enumerate(p.ground) if v in keep]
-    remap: dict[int, int] = {}
-    labels = []
-    for new_i, old_i in enumerate(idx):
-        labels.append(remap.setdefault(p.labels[old_i], new_i))
-    return Partition(tuple(p.ground[i] for i in idx), tuple(labels))
-
-
-def extend(p: Partition, superset: Iterable) -> Partition:
-    """Add the elements of ``superset - ground`` as singleton blocks."""
-    superset = set(superset)
-    if not set(p.ground) <= superset:
-        raise PartitionError("extension set must contain the ground set")
-    ground = tuple(sorted(superset))
-    old_pos = {v: i for i, v in enumerate(p.ground)}
-    labels = []
-    remap: dict[int, int] = {}
-    for new_i, v in enumerate(ground):
-        old = old_pos.get(v)
-        if old is None:
-            labels.append(new_i)
-        else:
-            labels.append(remap.setdefault(p.labels[old], new_i))
-    # remap values are first-seen new positions; min-position holds since
-    # ground order preserves the relative order of old elements
-    return Partition(ground, tuple(labels))
-
-
-def with_block(ground: Iterable, block: Iterable) -> Partition:
-    """The partition of ``ground`` whose only non-singleton block is ``block``."""
-    ground = tuple(sorted(ground))
-    pos = {v: i for i, v in enumerate(ground)}
-    block = list(block)
-    for v in block:
-        if v not in pos:
-            raise PartitionError(f"block element {v!r} not in ground set")
-    rep = list(range(len(ground)))
-    for v in block[1:]:
-        _union(rep, pos[block[0]], pos[v])
-    return Partition(ground, _canon_from_uf(rep))
-
-
 # ---------------------------------------------------------------------------
 # weighted partition sets
 
@@ -246,8 +167,8 @@ class WeightedPartitionSet:
 
     __slots__ = ("ground", "entries")
 
-    def __init__(self, ground: Iterable, entries: Optional[dict] = None):
-        self.ground = tuple(sorted(ground))
+    def __init__(self, ground: tuple, entries: Optional[dict] = None):
+        self.ground = tuple(ground)
         self.entries: dict = entries if entries is not None else {}
 
     # -- construction ------------------------------------------------------
@@ -259,7 +180,7 @@ class WeightedPartitionSet:
     @staticmethod
     def from_weighted(ground, pairs) -> "WeightedPartitionSet":
         """rmc over raw (labels, weight[, trace]) items: keep the max per partition."""
-        wps = WeightedPartitionSet(ground)
+        wps = WeightedPartitionSet(tuple(sorted(ground)))
         entries = wps.entries
         for item in pairs:
             labels, weight = item[0], item[1]
@@ -276,23 +197,10 @@ class WeightedPartitionSet:
     def __iter__(self):
         return iter(self.entries.items())
 
-    def partitions(self) -> list[Partition]:
-        return [Partition(self.ground, labels) for labels in self.entries]
-
     def copy(self) -> "WeightedPartitionSet":
         return WeightedPartitionSet(self.ground, dict(self.entries))
 
     # -- the representation-preserving operators ----------------------------
-
-    def union(self, other: "WeightedPartitionSet") -> "WeightedPartitionSet":
-        if self.ground != other.ground:
-            raise PartitionError("union needs identical ground sets")
-        merged = dict(self.entries)
-        for labels, (w, tr) in other.entries.items():
-            cur = merged.get(labels)
-            if cur is None or w > cur[0]:
-                merged[labels] = (w, tr)
-        return WeightedPartitionSet(self.ground, merged)
 
     def union_into(self, other: "WeightedPartitionSet") -> None:
         """In-place max-merge of ``other`` (same ground) into this set."""
@@ -334,16 +242,14 @@ class WeightedPartitionSet:
         return WeightedPartitionSet(self.ground, out)
 
     def glue(self, block: Iterable) -> "WeightedPartitionSet":
-        """Merge all elements of ``block`` into one block (extending the ground set)."""
+        """Merge all elements of ``block``, a subset of the ground set, into one block."""
         block = set(block)
-        base = self
-        missing = block - set(self.ground)
-        if missing:
-            base = self.insert(missing)
-        pos = {v: i for i, v in enumerate(base.ground)}
+        pos = {v: i for i, v in enumerate(self.ground)}
+        if not block <= pos.keys():
+            raise PartitionError("glued block must lie inside the ground set")
         bpos = sorted(pos[v] for v in block)
         out = {}
-        for labels, (w, tr) in base.entries.items():
+        for labels, (w, tr) in self.entries.items():
             rep = list(labels)
             for p in bpos[1:]:
                 _union(rep, bpos[0], p)
@@ -351,7 +257,7 @@ class WeightedPartitionSet:
             cur = out.get(key)
             if cur is None or w > cur[0]:
                 out[key] = (w, tr)
-        return WeightedPartitionSet(base.ground, out)
+        return WeightedPartitionSet(self.ground, out)
 
     def project(self, drop: Iterable) -> "WeightedPartitionSet":
         """Remove ``drop`` from the ground set.
@@ -382,21 +288,17 @@ class WeightedPartitionSet:
         return WeightedPartitionSet(ground, out)
 
     def join(self, other: "WeightedPartitionSet") -> "WeightedPartitionSet":
-        """Pairwise overlay of two cells over the union ground set.
+        """Pairwise overlay of two cells over their common ground set.
 
         Inside an :func:`overlay_memo` block, overlays are shared across calls.
         """
-        a = self
-        b = other
-        if a.ground != b.ground:
-            union_ground = set(a.ground) | set(b.ground)
-            a = a.insert(union_ground - set(a.ground))
-            b = b.insert(union_ground - set(b.ground))
-        g = len(a.ground)
+        if self.ground != other.ground:
+            raise PartitionError("join needs identical ground sets")
+        g = len(self.ground)
         memo = _overlay_memo if _overlay_memo is not None else {}
         out = {}
-        for la, (wa, ta) in a.entries.items():
-            for lb, (wb, tb) in b.entries.items():
+        for la, (wa, ta) in self.entries.items():
+            for lb, (wb, tb) in other.entries.items():
                 key = memo.get((la, lb))
                 if key is None:
                     rep = list(la)
@@ -407,7 +309,7 @@ class WeightedPartitionSet:
                 cur = out.get(key)
                 if cur is None or w > cur[0]:
                     out[key] = (w, ("j", ta, tb))
-        return WeightedPartitionSet(a.ground, out)
+        return WeightedPartitionSet(self.ground, out)
 
     # -- queries -------------------------------------------------------------
 

@@ -36,9 +36,6 @@ class Cnf:
             if len(clause) != 3:
                 raise ReductionError(f"clause {i + 1} has {len(clause)} literals, need exactly 3")
 
-    def is_monotone(self) -> bool:
-        return all(all(l > 0 for l in c) or all(l < 0 for l in c) for c in self.clauses)
-
     def monotone_violation(self) -> Optional[int]:
         """1-based index of the first mixed-polarity clause, or None."""
         for i, clause in enumerate(self.clauses):

@@ -2,18 +2,7 @@ import random
 
 import pytest
 
-from connmatch.partitions import (
-    Partition,
-    PartitionError,
-    WeightedPartitionSet,
-    coarsens,
-    extend,
-    lattice_join,
-    lattice_meet,
-    restrict,
-    trace_edges,
-    with_block,
-)
+from connmatch.partitions import Partition, PartitionError, WeightedPartitionSet, trace_edges
 
 
 def P(ground, *blocks):
@@ -42,46 +31,6 @@ def all_partitions(ground):
 
     for blocks in rec(0, []):
         yield Partition.from_blocks(ground, blocks)
-
-
-class TestLattice:
-    def test_join_merges_overlapping_blocks(self):
-        p = P("abc", "ab", "c")
-        q = P("abc", "bc", "a")
-        assert lattice_join(p, q) == P("abc", "abc")
-
-    def test_meet(self):
-        p = P("abcd", "abc", "d")
-        q = P("abcd", "ab", "cd")
-        assert lattice_meet(p, q) == P("abcd", "ab", "c", "d")
-
-    def test_coarsens(self):
-        assert coarsens(P("abc", "abc"), P("abc", "ab", "c"))
-        assert not coarsens(P("abc", "ab", "c"), P("abc", "abc"))
-        assert coarsens(P("abc", "ab", "c"), P("abc", "ab", "c"))
-
-    def test_restrict(self):
-        assert restrict(P("abc", "ab", "c"), "ac") == P("ac", "a", "c")
-
-    def test_extend(self):
-        assert extend(P("a", "a"), "ab") == P("ab", "a", "b")
-
-    def test_with_block(self):
-        assert with_block("abcd", "bd") == P("abcd", "bd", "a", "c")
-
-    def test_ground_mismatch_rejected(self):
-        with pytest.raises(PartitionError):
-            lattice_join(P("ab", "ab"), P("ac", "ac"))
-
-    def test_join_meet_are_lattice_bounds(self):
-        rng = random.Random(12)
-        parts = list(all_partitions("abcd"))
-        for _ in range(60):
-            p, q = rng.choice(parts), rng.choice(parts)
-            j = lattice_join(p, q)
-            m = lattice_meet(p, q)
-            assert coarsens(j, p) and coarsens(j, q)
-            assert coarsens(p, m) and coarsens(q, m)
 
 
 class TestOperators:
@@ -114,12 +63,23 @@ class TestOperators:
         assert out.ground == ("a",)
 
     def test_join_weights_add(self):
-        a = WeightedPartitionSet.from_weighted("ab", [(P("ab", "ab").labels, 2)])
-        b = WeightedPartitionSet.from_weighted("bc", [(P("bc", "bc").labels, 3)])
+        a = WeightedPartitionSet.from_weighted("abc", [(P("abc", "ab", "c").labels, 2)])
+        b = WeightedPartitionSet.from_weighted("abc", [(P("abc", "bc", "a").labels, 3)])
         joined = a.join(b)
         assert joined.ground == ("a", "b", "c")
         assert list(joined.entries) == [P("abc", "abc").labels]
         assert joined.best()[0] == 5
+
+    def test_join_ground_mismatch_rejected(self):
+        a = WeightedPartitionSet.from_weighted("ab", [(P("ab", "ab").labels, 2)])
+        b = WeightedPartitionSet.from_weighted("ac", [(P("ac", "ac").labels, 3)])
+        with pytest.raises(PartitionError):
+            a.join(b)
+
+    def test_glue_outside_ground_rejected(self):
+        wps = WeightedPartitionSet.from_weighted("ab", [(P("ab", "a", "b").labels, 4)])
+        with pytest.raises(PartitionError):
+            wps.glue("ac")
 
     def test_insert_disjointness_enforced(self):
         wps = WeightedPartitionSet.from_weighted("ab", [(P("ab", "ab").labels, 1)])
@@ -136,9 +96,9 @@ class TestOperators:
     def test_union_max_merges(self):
         a = WeightedPartitionSet.from_weighted("ab", [(P("ab", "ab").labels, 2)])
         b = WeightedPartitionSet.from_weighted("ab", [(P("ab", "ab").labels, 7), (P("ab", "a", "b").labels, 1)])
-        u = a.union(b)
-        assert len(u) == 2
-        assert u.entries[P("ab", "ab").labels][0] == 7
+        a.union_into(b)
+        assert len(a) == 2
+        assert a.entries[P("ab", "ab").labels][0] == 7
 
 
 class TestReduce:

@@ -100,7 +100,9 @@ class TestReduceSoundness:
             for x in nd.postorder():
                 kids = nd.nodes[x].children
                 tables[x] = _node_table(g, nd, x, [tables[c] for c in kids], True)
-                for cell, wps in tables[x].items():
+                for (s, u), wps in tables[x].items():
+                    # join and glue need every cell's ground to be sorted S | U
+                    assert wps.ground == tuple(sorted(s | u))
                     ground = len(wps.ground)
                     assert len(wps) <= 1 << max(ground - 1, 0)
                 for c in kids:
