@@ -46,7 +46,7 @@ def _solve_component(
         return solve_tree(g)
     if g.max_degree() <= 2:
         return solve_degree_two(g)
-    if all(w >= 0 for _, _, w in g.edges) and chordal_peo(g) is not None:
+    if all(w >= 0 for w in g.weights) and chordal_peo(g) is not None:
         return solve_chordal(g)
     if g.m <= brute_limit:
         res = brute_mwcm(g, edge_limit=brute_limit)

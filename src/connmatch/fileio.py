@@ -15,10 +15,22 @@ and 1-based vertex ids externally (0-based in memory):
 
 Parsers report the offending line number; writers emit canonical output
 (sorted edge lists) so a parse/write round trip is byte-stable.
+
+A ``.gr`` file laid out exactly as the writer lays it out (the header, then
+one ``e`` line of four tokens per edge, single spaces, ``\n`` line ends, no
+comments or blank lines) takes a bulk path: the text is split once, each
+``e`` column is converted with one ``map(int, ...)`` and the graph is built
+straight from the columns (:meth:`WeightedGraph.from_columns`), with the
+64-bit weight bound checked by ``min``/``max``. Any other layout, and any
+error found on the bulk path, falls back to the line scanner, which gives
+the same graph or the same message with its line number.
 """
 
 from __future__ import annotations
 
+import re
+from itertools import repeat
+from operator import sub
 from pathlib import Path
 from typing import Union
 
@@ -64,7 +76,40 @@ def read_text(path) -> str:
 # graphs
 
 
+# The writer's layout, with any tokens; ``\S`` and ``str.split`` agree on
+# what counts as whitespace, so every line break in a match is a ``\n``.
+_GR_LAYOUT = re.compile(r"p \S+ \S+ \S+(?:\ne \S+ \S+ \S+)*\n?")
+
+
 def parse_graph_text(text: str) -> WeightedGraph:
+    g = _parse_graph_bulk(text)
+    return g if g is not None else _parse_graph_lines(text)
+
+
+def _parse_graph_bulk(text: str):
+    """The graph of a valid ``.gr`` text in the writer's layout; None for
+    any other text, which the line scanner then reads or rejects."""
+    if _GR_LAYOUT.fullmatch(text) is None:
+        return None
+    toks = text.split()
+    if toks[1] != "wcm":
+        return None
+    try:
+        n, m = int(toks[2]), int(toks[3])
+        us = list(map(sub, map(int, toks[5::4]), repeat(1)))
+        vs = list(map(sub, map(int, toks[6::4]), repeat(1)))
+        ws = list(map(int, toks[7::4]))
+    except ValueError:
+        return None
+    if m != len(ws) or (ws and (min(ws) < _INT64_MIN or max(ws) > _INT64_MAX)):
+        return None
+    try:
+        return WeightedGraph.from_columns(n, us, vs, ws)
+    except GraphError:
+        return None
+
+
+def _parse_graph_lines(text: str) -> WeightedGraph:
     n = m = None
     edges = []
     seen = {}

@@ -3,6 +3,22 @@
 Vertices are dense 0-based integers. Edge weights are signed integers; the
 file layer enforces the 64-bit range. All objects are immutable after
 construction and safe to share between concurrent solves.
+
+A :class:`WeightedGraph` keeps its edges as three flat columns: the
+endpoints ``lo`` and ``hi`` (``lo[e] < hi[e]``) and ``weights``.
+Construction validates the columns in bulk (range, self-loops, plain int
+values, and duplicates as ``lo * n + hi`` int keys); on the first doubt it
+reruns the per-edge check in edge order, so an error names the same edge as
+before. What derives from the columns is built on first use and cached:
+the ``(u, v, w)`` triples ``edges``, the adjacency lists ``adj``, the pair
+index behind :meth:`WeightedGraph.edge_id` and the int64 endpoint arrays.
+Two threads that race on a cache build equal values.
+
+Connectivity (:meth:`WeightedGraph.components`, :func:`is_connected`,
+:func:`induced_by_matching_connected`) runs on one numpy labeller that
+gives each vertex the smallest vertex id of its component. numpy is
+imported inside the functions that use it, so importing the package stays
+cheap; the first labelling in a process pays for loading numpy.
 """
 
 from __future__ import annotations
@@ -10,6 +26,8 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from itertools import count, repeat
+from operator import add, eq, lt, mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -17,57 +35,171 @@ class GraphError(ValueError):
     """Raised for malformed graphs, matchings or violated solver preconditions."""
 
 
+def _pair_keys(n: int, lo: Iterable[int], hi: Iterable[int]):
+    """``lo * n + hi`` per edge: one int per vertex pair when ``lo < hi < n``."""
+    return map(add, map(mul, lo, repeat(n)), hi)
+
+
+def _check_columns(n: int, us: Sequence, vs: Sequence, ws: Sequence):
+    """``(lo, hi)`` if the columns form a valid edge list of plain ints,
+    otherwise None; the ordered check then finds the first bad edge."""
+    if not (set(map(type, us)) | set(map(type, vs)) | set(map(type, ws))) <= {int}:
+        return None
+    if us and (min(us) < 0 or min(vs) < 0 or max(us) >= n or max(vs) >= n):
+        return None
+    if all(map(lt, us, vs)):
+        lo, hi = us, vs
+    elif any(map(eq, us, vs)):
+        return None
+    else:
+        lo, hi = tuple(map(min, us, vs)), tuple(map(max, us, vs))
+    if len(set(_pair_keys(n, lo, hi))) != len(lo):
+        return None
+    return lo, hi
+
+
+def _checked_edges(n: int, edges: Iterable) -> list[tuple[int, int, int]]:
+    """The edges with ``u < v``, checked one by one in order; raises
+    :class:`GraphError` naming the first bad edge."""
+    normalized = []
+    seen: set[tuple[int, int]] = set()
+    for u, v, w in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        if not isinstance(w, int) or isinstance(w, bool):
+            raise GraphError(f"edge ({u}, {v}) has non-integer weight {w!r}")
+        if u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            raise GraphError(f"parallel edge ({u}, {v})")
+        seen.add((u, v))
+        normalized.append((u, v, w))
+    return normalized
+
+
+def _component_labels(n: int, lo, hi):
+    """The smallest vertex id of each vertex's component, as an int64 array.
+
+    ``lo`` and ``hi`` are int64 arrays of edge endpoints. Each round, every
+    root hooks onto the smallest root across its edges, then pointer jumping
+    points every vertex at its root again, and edges inside one tree are
+    dropped. Roots only move to smaller ids, so the root left in each
+    component is its smallest vertex.
+    """
+    import numpy as np
+
+    label = np.arange(n, dtype=np.int64)
+    while lo.size:
+        a = label[lo]
+        b = label[hi]
+        cross = a != b
+        if not cross.any():
+            break
+        a, b, lo, hi = a[cross], b[cross], lo[cross], hi[cross]
+        np.minimum.at(label, a, b)
+        np.minimum.at(label, b, a)
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
+    return label
+
+
 class WeightedGraph:
     """Undirected simple graph with integer edge weights.
 
     ``edges`` is a tuple of ``(u, v, w)`` triples with ``u < v``; edge ids are
-    positions in that tuple. ``adj[v]`` lists the ids of edges incident to
-    ``v``.
+    positions in that tuple. ``lo``, ``hi`` and ``weights`` are the same
+    edges as columns: ``edges[e] == (lo[e], hi[e], weights[e])``. ``edges``
+    and ``adj`` are built from the columns on first use; ``adj[v]`` lists
+    the ids of edges incident to ``v`` in increasing order.
     """
 
-    __slots__ = ("n", "edges", "adj", "_pair_index")
+    __slots__ = ("n", "lo", "hi", "weights", "_edges", "_adj", "_pair_index", "_arrays")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         if n < 0:
             raise GraphError("vertex count must be non-negative")
-        normalized = []
-        seen: set[tuple[int, int]] = set()
-        for u, v, w in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not isinstance(w, int) or isinstance(w, bool):
-                raise GraphError(f"edge ({u}, {v}) has non-integer weight {w!r}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise GraphError(f"parallel edge ({u}, {v})")
-            seen.add((u, v))
-            normalized.append((u, v, w))
+        edges = tuple(edges)
+        cols = None
+        if set(map(type, edges)) <= {tuple} and set(map(len, edges)) <= {3}:
+            us, vs, ws = zip(*edges) if edges else ((), (), ())
+            cols = _check_columns(n, us, vs, ws)
+        if cols is None:
+            edges = tuple(_checked_edges(n, edges))
+            us, vs, ws = zip(*edges) if edges else ((), (), ())
+            cols = us, vs
+        self._set(n, *cols, ws)
+        if cols[0] is us:  # the triples were already normalized
+            self._edges = edges
+
+    @classmethod
+    def from_columns(cls, n: int, us: Sequence[int], vs: Sequence[int], ws: Sequence[int]) -> "WeightedGraph":
+        """``WeightedGraph(n, zip(us, vs, ws))``, built without the
+        intermediate triples; errors are the same."""
+        cols = _check_columns(n, us, vs, ws) if n >= 0 else None
+        if cols is None:
+            return cls(n, zip(us, vs, ws))
+        g = cls.__new__(cls)
+        g._set(n, *cols, ws)
+        return g
+
+    def _set(self, n: int, lo: Sequence[int], hi: Sequence[int], ws: Sequence[int]) -> None:
         self.n = n
-        self.edges = tuple(normalized)
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for eid, (u, v, _) in enumerate(self.edges):
-            adj[u].append(eid)
-            adj[v].append(eid)
-        self.adj = adj
-        self._pair_index: Optional[dict[tuple[int, int], int]] = None
+        self.lo = tuple(lo)
+        self.hi = tuple(hi)
+        self.weights = tuple(ws)
+        self._edges: Optional[tuple[tuple[int, int, int], ...]] = None
+        self._adj: Optional[list[list[int]]] = None
+        self._pair_index: Optional[dict[int, int]] = None
+        self._arrays = None
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        edges = self._edges
+        if edges is None:
+            edges = self._edges = tuple(zip(self.lo, self.hi, self.weights))
+        return edges
+
+    @property
+    def adj(self) -> list[list[int]]:
+        adj = self._adj
+        if adj is None:
+            adj = [[] for _ in range(self.n)]
+            for eid, u, v in zip(count(), self.lo, self.hi):
+                adj[u].append(eid)
+                adj[v].append(eid)
+            self._adj = adj
+        return adj
+
+    def endpoint_arrays(self):
+        """``lo`` and ``hi`` as read-only int64 numpy arrays, built on first use."""
+        arrays = self._arrays
+        if arrays is None:
+            import numpy as np
+
+            arrays = (np.array(self.lo, dtype=np.int64), np.array(self.hi, dtype=np.int64))
+            for a in arrays:
+                a.flags.writeable = False
+            self._arrays = arrays
+        return arrays
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.lo)
 
     def weight(self, eid: int) -> int:
-        return self.edges[eid][2]
+        return self.weights[eid]
 
     def endpoints(self, eid: int) -> tuple[int, int]:
-        u, v, _ = self.edges[eid]
-        return u, v
+        return self.lo[eid], self.hi[eid]
 
     def other(self, eid: int, v: int) -> int:
-        u, w, _ = self.edges[eid]
-        return w if v == u else u
+        u = self.lo[eid]
+        return self.hi[eid] if v == u else u
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -80,51 +212,55 @@ class WeightedGraph:
 
     def edge_id(self, u: int, v: int) -> Optional[int]:
         """Edge id for the pair ``{u, v}``, or ``None`` if absent."""
+        n = self.n
+        if not (0 <= u < n and 0 <= v < n):
+            return None
         if self._pair_index is None:
-            self._pair_index = {(a, b): i for i, (a, b, _) in enumerate(self.edges)}
+            self._pair_index = dict(zip(_pair_keys(n, self.lo, self.hi), count()))
         if u > v:
             u, v = v, u
-        return self._pair_index.get((u, v))
+        return self._pair_index.get(u * n + v)
 
     def has_edge(self, u: int, v: int) -> bool:
         return self.edge_id(u, v) is not None
 
     def components(self) -> list[list[int]]:
-        """Connected components as sorted vertex lists."""
-        seen = [False] * self.n
-        out = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            seen[s] = True
-            comp = [s]
-            queue = deque([s])
-            while queue:
-                v = queue.popleft()
-                for eid in self.adj[v]:
-                    u = self.other(eid, v)
-                    if not seen[u]:
-                        seen[u] = True
-                        comp.append(u)
-                        queue.append(u)
-            out.append(sorted(comp))
-        return out
+        """Connected components as sorted vertex lists, in order of their
+        smallest vertex."""
+        import numpy as np
+
+        n = self.n
+        if n == 0:
+            return []
+        label = _component_labels(n, *self.endpoint_arrays())
+        if not label.any():
+            return [list(range(n))]
+        order = np.argsort(label, kind="stable")
+        grouped = label[order]
+        cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
+        flat = order.tolist()
+        return [flat[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
 
     def induced(self, vertices: Sequence[int]) -> tuple["WeightedGraph", list[int], dict[int, int]]:
         """Subgraph induced by ``vertices``.
 
         Returns ``(subgraph, old_ids, edge_map)`` where ``old_ids[new] = old``
-        and ``edge_map`` maps new edge ids back to ids of this graph.
+        and ``edge_map`` maps new edge ids back to ids of this graph. Edges
+        keep their relative order. The work is proportional to the degrees
+        of ``vertices`` (plus building ``adj`` on the first call).
         """
         old_ids = sorted(set(vertices))
         new_of = {v: i for i, v in enumerate(old_ids)}
-        sub_edges = []
-        edge_map = {}
-        for eid, (u, v, w) in enumerate(self.edges):
-            if u in new_of and v in new_of:
-                edge_map[len(sub_edges)] = eid
-                sub_edges.append((new_of[u], new_of[v], w))
-        return WeightedGraph(len(old_ids), sub_edges), old_ids, edge_map
+        n, adj, lo, hi, ws = self.n, self.adj, self.lo, self.hi, self.weights
+        eids = sorted(
+            eid
+            for v in old_ids
+            if 0 <= v < n
+            for eid in adj[v]
+            if lo[eid] == v and hi[eid] in new_of
+        )
+        sub_edges = [(new_of[lo[e]], new_of[hi[e]], ws[e]) for e in eids]
+        return WeightedGraph(len(old_ids), sub_edges), old_ids, dict(enumerate(eids))
 
     def __eq__(self, other) -> bool:
         return (
@@ -189,22 +325,25 @@ class Matching:
         ids = tuple(sorted(set(edge_ids)))
         saturated: set[int] = set()
         total = 0
+        m, lo, hi, ws = graph.m, graph.lo, graph.hi, graph.weights
         for eid in ids:
-            if not (0 <= eid < graph.m):
+            if not (0 <= eid < m):
                 raise GraphError(f"matching references unknown edge id {eid}")
-            u, v, w = graph.edges[eid]
+            u = lo[eid]
+            v = hi[eid]
             if u in saturated or v in saturated:
                 raise GraphError(f"edges share endpoint at edge id {eid}")
             saturated.add(u)
             saturated.add(v)
-            total += w
+            total += ws[eid]
         self.graph = graph
         self.edge_ids = ids
         self.weight = total
         self.vertices = frozenset(saturated)
 
     def edge_pairs(self) -> list[tuple[int, int]]:
-        return [self.graph.endpoints(eid) for eid in self.edge_ids]
+        lo, hi = self.graph.lo, self.graph.hi
+        return [(lo[eid], hi[eid]) for eid in self.edge_ids]
 
     def __len__(self):
         return len(self.edge_ids)
@@ -241,46 +380,34 @@ def is_connected(g: WeightedGraph) -> bool:
     """True iff ``g`` has at most one connected component (empty graph counts)."""
     if g.n == 0:
         return True
-    seen = [False] * g.n
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for eid in g.adj[v]:
-            u = g.other(eid, v)
-            if not seen[u]:
-                seen[u] = True
-                count += 1
-                queue.append(u)
-    return count == g.n
+    return not _component_labels(g.n, *g.endpoint_arrays()).any()
 
 
 def induced_by_matching_connected(g: WeightedGraph, m: Matching) -> bool:
     """True iff the subgraph induced by the matched vertices is connected.
 
     The empty matching induces the empty graph, which counts as connected.
+    Only edges with both ends matched are labelled.
     """
+    import numpy as np
+
     if m.graph is not g and m.graph != g:
         raise GraphError("matching belongs to a different graph")
     verts = m.vertices
     if not verts:
         return True
-    start = next(iter(verts))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for eid in g.adj[v]:
-            u = g.other(eid, v)
-            if u in verts and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == len(verts)
+    matched = np.fromiter(verts, dtype=np.int64, count=len(verts))
+    inside = np.zeros(g.n, dtype=bool)
+    inside[matched] = True
+    lo, hi = g.endpoint_arrays()
+    keep = inside[lo] & inside[hi]
+    label = _component_labels(g.n, lo[keep], hi[keep])[matched]
+    return bool((label == label[0]).all())
 
 
 def two_coloring(g: WeightedGraph) -> Optional[tuple[int, ...]]:
     """A proper 2-coloring as a tuple of 0/1 per vertex, or None."""
+    adj = g.adj
     color = [-1] * g.n
     for s in range(g.n):
         if color[s] != -1:
@@ -289,7 +416,7 @@ def two_coloring(g: WeightedGraph) -> Optional[tuple[int, ...]]:
         queue = deque([s])
         while queue:
             v = queue.popleft()
-            for eid in g.adj[v]:
+            for eid in adj[v]:
                 u = g.other(eid, v)
                 if color[u] == -1:
                     color[u] = 1 - color[v]
@@ -359,13 +486,14 @@ def classify(g: WeightedGraph) -> GraphClassReport:
         is_cycle=is_cycle,
         bipartition=two_coloring(g),
         chordal_peo=chordal_peo(g),
-        all_weights_nonnegative=all(w >= 0 for _, _, w in g.edges),
+        all_weights_nonnegative=all(w >= 0 for w in g.weights),
     )
 
 
 def articulation_points(g: WeightedGraph) -> set[int]:
     """Vertices whose removal increases the number of components (iterative lowlink)."""
     n = g.n
+    adj = g.adj
     disc = [-1] * n
     low = [0] * n
     result: set[int] = set()
@@ -380,9 +508,9 @@ def articulation_points(g: WeightedGraph) -> set[int]:
             if idx == 0:
                 disc[v] = low[v] = timer
                 timer += 1
-            if idx < len(g.adj[v]):
+            if idx < len(adj[v]):
                 stack.append((v, parent, idx + 1))
-                u = g.other(g.adj[v][idx], v)
+                u = g.other(adj[v][idx], v)
                 if disc[u] == -1:
                     stack.append((u, v, 0))
                 elif u != parent:
@@ -403,6 +531,7 @@ def diameter(g: WeightedGraph) -> int:
     """Maximum unweighted shortest-path length; requires a connected graph."""
     if g.n == 0 or not is_connected(g):
         raise GraphError("diameter is only defined for non-empty connected graphs")
+    adj = g.adj
     best = 0
     for s in range(g.n):
         dist = [-1] * g.n
@@ -410,7 +539,7 @@ def diameter(g: WeightedGraph) -> int:
         queue = deque([s])
         while queue:
             v = queue.popleft()
-            for eid in g.adj[v]:
+            for eid in adj[v]:
                 u = g.other(eid, v)
                 if dist[u] == -1:
                     dist[u] = dist[v] + 1

@@ -63,7 +63,7 @@ def tree_dp(g: WeightedGraph, root: int = 0) -> TreeDpState:
     adj = g.adj
     if n == 1:
         return TreeDpState(root, [root], [-1], [root], [0], [0], [None])
-    eu, ev, ew = zip(*g.edges)
+    eu, ev, ew = g.lo, g.hi, g.weights
 
     parent = [-1] * n
     parent_edge = [-1] * n
@@ -121,7 +121,7 @@ def tree_dp(g: WeightedGraph, root: int = 0) -> TreeDpState:
 
 def _reconstruct(g: WeightedGraph, state: TreeDpState, top: int) -> list[int]:
     adj = g.adj
-    eu, ev, _ = zip(*g.edges)
+    eu, ev = g.lo, g.hi
     parent = state.parent
     score = state.score
     best_child = state.best_child
@@ -156,13 +156,12 @@ def _solve_tree_layered(g: WeightedGraph, root: int) -> Optional[tuple[int, Matc
     import numpy as np
 
     n = g.n
-    max_abs = max((abs(w) for _, _, w in g.edges), default=0)
+    max_abs = max(map(abs, g.weights), default=0)
     if (max_abs + 1) * (n + 1) >= 2**62:
         return None
 
-    eu = np.fromiter((e[0] for e in g.edges), dtype=np.int64, count=g.m)
-    ev = np.fromiter((e[1] for e in g.edges), dtype=np.int64, count=g.m)
-    ew = np.fromiter((e[2] for e in g.edges), dtype=np.int64, count=g.m)
+    eu, ev = g.endpoint_arrays()
+    ew = np.array(g.weights, dtype=np.int64)
     eids = np.arange(g.m, dtype=np.int64)
 
     src = np.concatenate([eu, ev])

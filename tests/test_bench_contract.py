@@ -40,10 +40,18 @@ def _reject_constant(name):
     raise ValueError(f"non-finite number {name} in the result line")
 
 
-@pytest.mark.parametrize("trace", [0, 1])
-def test_run_result_line(trace):
+@pytest.mark.parametrize(
+    "workload, trace",
+    [
+        pytest.param("ktree-dp", 0, id="0"),
+        pytest.param("ktree-dp", 1, id="1"),
+        # the traced run wraps the parse, component and tree-solver names
+        pytest.param("tree-cli", 1, id="tree-cli-1"),
+    ],
+)
+def test_run_result_line(workload, trace):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "ktree-dp", "--seed", "0",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "0",
          "--seconds", "0", "--trace", str(trace)],
         capture_output=True, text=True, cwd=ROOT, timeout=300,
     )
