@@ -24,6 +24,19 @@ straight from the columns (:meth:`WeightedGraph.from_columns`), with the
 64-bit weight bound checked by ``min``/``max``. Any other layout, and any
 error found on the bulk path, falls back to the line scanner, which gives
 the same graph or the same message with its line number.
+
+Certificates take the same kind of bulk path when the text is exactly the
+writer's layout (``m <u> <v>`` lines, single spaces, ``\n`` line ends):
+one ``split``, one ``map(int, ...)`` per endpoint column and a range check
+by ``min``/``max``. Sorting the listed endpoints proves that no vertex is
+listed twice; then a partner table indexed by vertex finds every listed
+edge in one pass over the graph's int64 endpoint arrays, and the edge ids
+come out sorted. On any doubt (another layout, a bad token, a vertex out
+of range or listed twice, a pair that is not an edge, or a graph with
+isolated vertices) the line scanner reads the text, so every message names
+its line. A certificate must not list an edge twice or two edges that share
+a vertex. The certificate writer sorts the matched edges on the endpoint
+arrays and formats them in one ``join``.
 """
 
 from __future__ import annotations
@@ -431,8 +444,61 @@ def write_td(td: TreeDecomposition, n: int, path) -> None:
 # certificates and label maps
 
 
+# The writer's layout, with any tokens; an empty text is the empty matching.
+_CERT_LAYOUT = re.compile(r"(?:m \S+ \S+\n)*(?:m \S+ \S+)?")
+
+
 def parse_certificate_text(text: str, g: WeightedGraph) -> Matching:
+    m = _parse_certificate_bulk(text, g)
+    return m if m is not None else _parse_certificate_lines(text, g)
+
+
+def _parse_certificate_bulk(text: str, g: WeightedGraph):
+    """The matching of a valid certificate in the writer's layout; None for
+    any other text, which the line scanner then reads or rejects."""
+    n = g.n
+    # The partner table below has one entry per vertex. A graph with more
+    # vertices than edge endpoints has isolated ones, maybe very many, and is
+    # left to the line scanner, so the table is never larger than the graph.
+    if n > 2 * g.m or _CERT_LAYOUT.fullmatch(text) is None:
+        return None
+    toks = text.split()
+    try:
+        us = list(map(int, toks[1::3]))
+        vs = list(map(int, toks[2::3]))
+    except ValueError:
+        return None
+    del toks
+    if not us:
+        return Matching(g, [])
+    if min(us) < 1 or min(vs) < 1 or max(us) > n or max(vs) > n:
+        return None
+    import numpy as np
+
+    u = np.array(us, dtype=np.int64) - 1
+    v = np.array(vs, dtype=np.int64) - 1
+    del us, vs
+    # No vertex twice rules out shared vertices, repeated pairs and self
+    # pairs; then each vertex has at most one partner, and an edge is listed
+    # iff its ``lo`` has its ``hi`` as partner.
+    ends = np.sort(np.concatenate((u, v)))
+    if (ends[1:] == ends[:-1]).any():
+        return None
+    del ends
+    partner = np.full(n, -1, dtype=np.int64)
+    partner[u] = v
+    partner[v] = u
+    lo, hi = g.endpoint_arrays()
+    eids = np.flatnonzero(partner[lo] == hi)
+    if eids.size != u.size:  # a pair that is not an edge
+        return None
+    return Matching(g, eids.tolist())
+
+
+def _parse_certificate_lines(text: str, g: WeightedGraph) -> Matching:
     eids = []
+    line_of_edge = {}
+    line_of_vertex = {}
     for no, toks in _lines(text):
         if toks[0] != "m" or len(toks) != 3:
             raise FormatError(f"line {no}: expected 'm <u> <v>'")
@@ -442,6 +508,12 @@ def parse_certificate_text(text: str, g: WeightedGraph) -> Matching:
         eid = g.edge_id(u - 1, v - 1)
         if eid is None:
             raise FormatError(f"line {no}: edge ({u}, {v}) is not in the graph")
+        if eid in line_of_edge:
+            raise FormatError(f"line {no}: edge ({u}, {v}) repeats line {line_of_edge[eid]}")
+        for x in (u, v):
+            if x in line_of_vertex:
+                raise FormatError(f"line {no}: edge ({u}, {v}) shares vertex {x} with line {line_of_vertex[x]}")
+        line_of_edge[eid] = line_of_vertex[u] = line_of_vertex[v] = no
         eids.append(eid)
     return Matching(g, eids)
 
@@ -451,10 +523,18 @@ def parse_certificate(path, g: WeightedGraph) -> Matching:
 
 
 def write_certificate_text(m: Matching) -> str:
-    out = []
-    for u, v in sorted(m.edge_pairs()):
-        out.append(f"m {u + 1} {v + 1}")
-    return "\n".join(out) + ("\n" if out else "")
+    """One ``m <u> <v>`` line per edge (``u < v``), in increasing order of
+    ``u``; the ``u`` of a matching's edges are distinct, so that is the
+    order of the pairs."""
+    if not m.edge_ids:
+        return ""
+    import numpy as np
+
+    lo, hi = m.graph.endpoint_arrays()
+    ids = np.array(m.edge_ids, dtype=np.int64)
+    us, vs = lo[ids], hi[ids]
+    order = np.argsort(us)
+    return "".join(map("m {} {}\n".format, (us[order] + 1).tolist(), (vs[order] + 1).tolist()))
 
 
 def write_certificate(m: Matching, path) -> None:

@@ -27,7 +27,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from itertools import count, repeat
-from operator import add, eq, lt, mul
+from operator import add, eq, itemgetter, lt, mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -313,33 +313,50 @@ class VertexWeightedGraph:
         return f"VertexWeightedGraph(n={self.n}, m={len(self.edges)})"
 
 
+def _pick(seq: Sequence[int], ids: Sequence[int]) -> tuple[int, ...]:
+    """``tuple(seq[i] for i in ids)``, in one call for two or more ids."""
+    return itemgetter(*ids)(seq) if len(ids) > 1 else tuple(map(seq.__getitem__, ids))
+
+
+def _raise_first_conflict(m: int, lo: Sequence[int], hi: Sequence[int], ids: Sequence[int]) -> None:
+    """Raise :class:`GraphError` for the first edge id in ``ids`` that is
+    out of range or shares an endpoint with an earlier one."""
+    saturated: set[int] = set()
+    for eid in ids:
+        if not (0 <= eid < m):
+            raise GraphError(f"matching references unknown edge id {eid}")
+        u = lo[eid]
+        v = hi[eid]
+        if u in saturated or v in saturated:
+            raise GraphError(f"edges share endpoint at edge id {eid}")
+        saturated.add(u)
+        saturated.add(v)
+    raise AssertionError("the edge ids form a matching")
+
+
 class Matching:
     """A set of vertex-disjoint edges of a :class:`WeightedGraph`.
 
     Total weight and the saturated vertex set are computed once and cached.
+    The edges are disjoint iff their endpoint list has no repeat; only when
+    that one-pass check fails does an ordered loop run, to name the first
+    bad edge id.
     """
 
     __slots__ = ("graph", "edge_ids", "weight", "vertices")
 
     def __init__(self, graph: WeightedGraph, edge_ids: Iterable[int]):
         ids = tuple(sorted(set(edge_ids)))
-        saturated: set[int] = set()
-        total = 0
-        m, lo, hi, ws = graph.m, graph.lo, graph.hi, graph.weights
-        for eid in ids:
-            if not (0 <= eid < m):
-                raise GraphError(f"matching references unknown edge id {eid}")
-            u = lo[eid]
-            v = hi[eid]
-            if u in saturated or v in saturated:
-                raise GraphError(f"edges share endpoint at edge id {eid}")
-            saturated.add(u)
-            saturated.add(v)
-            total += ws[eid]
+        m, lo, hi = graph.m, graph.lo, graph.hi
+        in_range = not ids or (0 <= ids[0] and ids[-1] < m)
+        ends = _pick(lo, ids) + _pick(hi, ids) if in_range else ()
+        saturated = frozenset(ends)
+        if not in_range or len(saturated) != len(ends):
+            _raise_first_conflict(m, lo, hi, ids)
         self.graph = graph
         self.edge_ids = ids
-        self.weight = total
-        self.vertices = frozenset(saturated)
+        self.weight = sum(_pick(graph.weights, ids))
+        self.vertices = saturated
 
     def edge_pairs(self) -> list[tuple[int, int]]:
         lo, hi = self.graph.lo, self.graph.hi
@@ -393,10 +410,11 @@ def induced_by_matching_connected(g: WeightedGraph, m: Matching) -> bool:
 
     if m.graph is not g and m.graph != g:
         raise GraphError("matching belongs to a different graph")
-    verts = m.vertices
-    if not verts:
+    if not m.edge_ids:
         return True
-    matched = np.fromiter(verts, dtype=np.int64, count=len(verts))
+    ids = np.array(m.edge_ids, dtype=np.int64)
+    mlo, mhi = m.graph.endpoint_arrays()  # edge ids are positions in m.graph
+    matched = np.concatenate((mlo[ids], mhi[ids]))
     inside = np.zeros(g.n, dtype=bool)
     inside[matched] = True
     lo, hi = g.endpoint_arrays()

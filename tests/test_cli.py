@@ -101,6 +101,22 @@ class TestCliSolveVerify:
         cert.write_text("m 1 2\nm 2 3\n")
         assert main(["verify", "--graph", str(gp), "--cert", str(cert), "--k", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "cert_text, message",
+        [
+            ("m 1 2\nm 2 3\n", "line 2: edge (2, 3) shares vertex 2 with line 1"),
+            ("m 1 2\nm 2 1\n", "line 2: edge (2, 1) repeats line 1"),
+        ],
+        ids=["shared-vertex", "repeated-edge"],
+    )
+    def test_verify_malformed_matching_names_lines(self, tmp_path, capsys, cert_text, message):
+        gp = tmp_path / "p3.gr"
+        gp.write_text("p wcm 3 2\ne 1 2 1\ne 2 3 1\n")
+        cert = tmp_path / "bad.cert"
+        cert.write_text(cert_text)
+        assert main(["verify", "--graph", str(gp), "--cert", str(cert), "--k", "0"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_solver_precondition_error_is_exit_2(self, tmp_path):
         gp = tmp_path / "neg.gr"
         gp.write_text("p wcm 2 1\ne 1 2 -1\n")

@@ -187,6 +187,18 @@ class TestLabellingMatchesReference:
         with pytest.raises(GraphError, match="different graph"):
             induced_by_matching_connected(g, Matching(h, [0]))
 
+    def test_matching_of_an_equal_graph_in_another_edge_order(self):
+        rng = random.Random(106)
+        for _ in range(100):
+            n = rng.randint(2, 20)
+            g = random_graph(rng, n, rng.randint(1, 2 * n))
+            edges = list(g.edges)
+            rng.shuffle(edges)
+            h = WeightedGraph(n, edges)
+            assert h == g
+            m = random_matching(rng, h)
+            assert induced_by_matching_connected(g, m) == reference_matching_connected(g, m)
+
 
 class TestInducedMatchesReference:
     def test_random_graphs(self):
