@@ -1,7 +1,7 @@
 """Exact solvers, gadget generators and certificate tools for maximum
 weight connected matchings."""
 
-from .chordal_solver import ChordalCompletion, build_gp, max_weight_perfect_matching, solve_chordal
+from .chordal_solver import build_gp, max_weight_perfect_matching, solve_chordal
 from .degree2_solver import solve_cycle, solve_degree_two
 from .dispatch import dispatch_solve
 from .graphs import (
@@ -16,7 +16,7 @@ from .graphs import (
     induced_by_matching_connected,
     is_connected,
 )
-from .oracle import OracleError, OracleResult, brute_mwcm, brute_mwpm, brute_wcs
+from .oracle import OracleError, OracleResult, brute_mwcm, brute_wcs
 from .partitions import Partition, WeightedPartitionSet
 from .tree_solver import TreeDpState, solve_tree, tree_dp
 from .treedecomp import (
@@ -30,7 +30,6 @@ from .treedecomp import (
 from .treewidth_solver import solve_treewidth
 
 __all__ = [
-    "ChordalCompletion",
     "GraphClassReport",
     "GraphError",
     "Matching",
@@ -46,7 +45,6 @@ __all__ = [
     "WeightedPartitionSet",
     "articulation_points",
     "brute_mwcm",
-    "brute_mwpm",
     "brute_wcs",
     "build_gp",
     "classify",

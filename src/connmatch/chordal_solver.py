@@ -1,27 +1,36 @@
 """Polynomial maximum weight connected matching on chordal graphs with
 non-negative weights.
 
-The input is completed to a full graph of even order (padding vertex plus
-fill edges), a maximum weight perfect matching of the completion is computed,
-and the answer is read back: keep the matched pairs that are original edges,
-then greedily saturate leftover vertex pairs joined by weight-0 original
-edges.
+The input g (n vertices, m edges) is doubled: g itself on vertices 0..n-1
+with its own edge ids 0..m-1, a copy of g on n..2n-1, and one rung
+``(v, v+n)`` per vertex. A perfect matching of the doubled graph restricts
+to two matchings of g that leave the same vertices free (a free vertex is
+exactly one whose rung is used), so a maximum weight perfect matching picks
+the best matching of g twice. The answer is read back from the first copy:
+keep its matched edges, then greedily saturate leftover vertex pairs joined
+by weight-0 edges.
 
-Fill edges generally carry weight 0, with one exception: fills incident to
-an articulation point are priced below any achievable matching weight. A
-perfect matching that saturates every articulation through original edges
-always exists (pair each articulation into one of its blocks along the
-block-cutpoint tree), so the penalty edges are never chosen; without the
-penalty, the perfect matching may park an articulation on a fill edge and
-the extracted matching can come out disconnected or overweighted. The
-extraction never loses weight and the result is connected; both facts are
-asserted on every run.
+Rungs weigh 0, except at an articulation point of g, where they are priced
+at ``-(1 + S)`` with S the sum of the positive weights. Some matching of g
+saturates every articulation (pair each articulation into one of its child
+blocks along the block-cutpoint tree), and the optimum never uses a penalty
+rung. Two penalty rungs cost more than both copies can carry (2S). With
+one, at articulation a, take the heavier copy M: some component C of
+g - a holds at most S/2 of it, and replacing M on C and a by a matching
+that saturates a and the articulations in C leaves a matching of weight
+at least w(M) - S/2 that saturates every articulation; two copies of it
+outweigh the perfect matching with the rung. Without the penalty the
+matching may leave an articulation free and the extracted matching can
+come out disconnected or overweighted.
+
+Two checks run on every solve. The extracted matching weighs half the
+perfect matching: the copies carry equal weight in an optimum, and a
+penalty rung would make the first copy's weight negative to keep the
+equality, so the check also proves that every articulation is saturated.
+And the extracted matching is connected.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 import networkx as nx
 
@@ -36,45 +45,20 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class ChordalCompletion:
-    """A graph padded to even order and completed with fill edges."""
-
-    base: WeightedGraph
-    completed: WeightedGraph
-    parity_vertex: Optional[int]
-    fill_edge_ids: frozenset  # completed-graph edge ids absent from the base
-    articulation_penalty: int  # weight of fill edges touching articulations
-
-
-def build_gp(g: WeightedGraph) -> ChordalCompletion:
-    """Complete ``g`` to a full graph of even order.
-
-    Fill edges weigh 0 except those incident to an articulation point of
-    ``g``, which get a prohibitive negative weight so a maximum weight
-    perfect matching always saturates articulations through original edges.
-    """
-    np_ = g.n if g.n % 2 == 0 else g.n + 1
-    parity = None if np_ == g.n else g.n
+def build_gp(g: WeightedGraph) -> WeightedGraph:
+    """The doubled graph of ``g`` on 2n vertices: g's edges (same ids), a
+    copy of g on n..2n-1, and a rung ``(v, v+n)`` per vertex, weighing 0
+    except at an articulation, where a penalty keeps the rung out of any
+    maximum weight perfect matching."""
+    n = g.n
     arts = articulation_points(g)
-    penalty = -(1 + sum(w for _, _, w in g.edges if w > 0))
-    original = {(u, v): w for u, v, w in g.edges}
-    edges = []
-    fill = []
-    for u in range(np_):
-        for v in range(u + 1, np_):
-            if (u, v) in original:
-                edges.append((u, v, original[(u, v)]))
-            else:
-                fill.append(len(edges))
-                w = penalty if (u in arts or v in arts) else 0
-                edges.append((u, v, w))
-    return ChordalCompletion(
-        base=g,
-        completed=WeightedGraph(np_, edges),
-        parity_vertex=parity,
-        fill_edge_ids=frozenset(fill),
-        articulation_penalty=penalty,
+    penalty = -(1 + sum(w for w in g.weights if w > 0))
+    rungs = tuple(penalty if v in arts else 0 for v in range(n))
+    return WeightedGraph.from_columns(
+        2 * n,
+        g.lo + tuple(u + n for u in g.lo) + tuple(range(n)),
+        g.hi + tuple(v + n for v in g.hi) + tuple(range(n, 2 * n)),
+        g.weights + g.weights + rungs,
     )
 
 
@@ -106,34 +90,26 @@ def solve_chordal(g: WeightedGraph) -> tuple[int, Matching]:
     """Optimum connected matching on a connected chordal graph, weights >= 0."""
     if g.n == 0 or not is_connected(g):
         raise GraphError("chordal solver needs a connected non-empty graph")
-    if any(w < 0 for _, _, w in g.edges):
+    if any(w < 0 for w in g.weights):
         raise GraphError("chordal solver requires non-negative weights")
     if chordal_peo(g) is None:
         raise GraphError("graph is not chordal")
 
-    comp = build_gp(g)
-    mp = max_weight_perfect_matching(comp.completed)
+    mp = max_weight_perfect_matching(build_gp(g))
 
-    eids = []
-    saturated = set()
-    for cid in mp.edge_ids:
-        if cid in comp.fill_edge_ids:
-            continue
-        u, v = comp.completed.endpoints(cid)
-        eid = g.edge_id(u, v)
-        assert eid is not None
-        eids.append(eid)
-        saturated.update((u, v))
-    # saturate a maximal set of weight-0 original edges over free vertices,
-    # scanning in ascending endpoint order for determinism
+    # the doubled graph's ids below g.m are g's own edges
+    eids = [eid for eid in mp.edge_ids if eid < g.m]
+    saturated = {x for eid in eids for x in g.endpoints(eid)}
+    # saturate a maximal set of weight-0 edges over free vertices,
+    # scanning in edge-id order for determinism
     for eid, (u, v, w) in enumerate(g.edges):
         if w == 0 and u not in saturated and v not in saturated:
             eids.append(eid)
             saturated.update((u, v))
 
     matching = Matching(g, eids)
-    if matching.weight != mp.weight:
-        raise GraphError("internal error: extraction changed the matching weight")
+    if 2 * matching.weight != mp.weight:
+        raise GraphError("internal error: the copies differ or an articulation is free")
     if not induced_by_matching_connected(g, matching):
         raise GraphError("internal error: extracted matching is not connected")
     return matching.weight, matching

@@ -16,7 +16,7 @@ from .degree2_solver import solve_degree_two
 from .graphs import GraphError, Matching, WeightedGraph, chordal_peo
 from .oracle import brute_mwcm
 from .tree_solver import solve_tree
-from .treedecomp import TreeDecomposition, heuristic_td
+from .treedecomp import TreeDecomposition, heuristic_td, validate_td
 from .treewidth_solver import solve_treewidth
 
 SOLVERS = ("auto", "brute", "tree", "cycle", "chordal", "treewidth")
@@ -61,13 +61,16 @@ def dispatch_solve(
     brute_limit: int = 24,
 ) -> tuple[int, Matching]:
     """Solve ``g`` with the requested solver; disconnected inputs are solved
-    per component and the best component answer is returned."""
+    per component and the best component answer is returned. A given ``td``
+    is validated against ``g`` whichever solver runs."""
     if solver not in SOLVERS:
         raise GraphError(f"unknown solver {solver!r}; choose one of {SOLVERS}")
     if g.n == 0:
         return 0, Matching(g, [])
     components = g.components()
     if len(components) == 1:
+        if td is not None:
+            validate_td(g, td)
         return _solve_component(g, solver, td, brute_limit)
     if td is not None:
         raise GraphError("an explicit decomposition requires a connected graph")

@@ -221,9 +221,6 @@ class WeightedGraph:
             u, v = v, u
         return self._pair_index.get(u * n + v)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return self.edge_id(u, v) is not None
-
     def components(self) -> list[list[int]]:
         """Connected components as sorted vertex lists, in order of their
         smallest vertex."""

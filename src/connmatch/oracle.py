@@ -166,41 +166,3 @@ def brute_wcs(g: VertexWeightedGraph, vertex_limit: int = 20) -> OracleResult:
 
     witness = frozenset(v for v in range(n) if best_mask >> v & 1)
     return OracleResult(optimum=best_w, witness=witness, explored=explored)
-
-
-def brute_mwpm(g: WeightedGraph) -> OracleResult:
-    """Maximum weight perfect matching by exhaustive pairing, n <= 12."""
-    n = g.n
-    if n % 2 != 0:
-        raise OracleError("no perfect matching: odd number of vertices")
-    if n > 12:
-        raise OracleError(f"graph has {n} vertices, exceeding the oracle limit of 12")
-
-    edge_of = {}
-    for eid, (u, v, w) in enumerate(g.edges):
-        edge_of[(u, v)] = eid
-
-    best: list = [None, ()]
-    explored = 0
-
-    def rec(free: tuple[int, ...], cur: int, taken: tuple[int, ...]) -> None:
-        nonlocal explored
-        if not free:
-            explored += 1
-            if best[0] is None or cur > best[0]:
-                best[0] = cur
-                best[1] = taken
-            return
-        v = free[0]
-        rest = free[1:]
-        for i, u in enumerate(rest):
-            key = (v, u) if v < u else (u, v)
-            eid = edge_of.get(key)
-            if eid is None:
-                continue
-            rec(rest[:i] + rest[i + 1 :], cur + g.weight(eid), taken + (eid,))
-
-    rec(tuple(range(n)), 0, ())
-    if best[0] is None:
-        raise OracleError("no perfect matching exists")
-    return OracleResult(optimum=best[0], witness=Matching(g, best[1]), explored=explored)

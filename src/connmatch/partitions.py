@@ -51,27 +51,6 @@ class Partition:
         if self.labels != _canon_labels(list(self.labels)):
             raise PartitionError("labels are not canonical")
 
-    @staticmethod
-    def from_blocks(ground: Iterable, blocks: Iterable[Iterable]) -> "Partition":
-        ground = tuple(sorted(ground))
-        pos = {v: i for i, v in enumerate(ground)}
-        rep = list(range(len(ground)))
-        seen = set()
-        for block in blocks:
-            block = list(block)
-            for v in block:
-                if v not in pos:
-                    raise PartitionError(f"block element {v!r} not in ground set")
-                if v in seen:
-                    raise PartitionError(f"element {v!r} appears in two blocks")
-                seen.add(v)
-            head = pos[block[0]]
-            for v in block[1:]:
-                _union(rep, head, pos[v])
-        if len(seen) != len(ground):
-            raise PartitionError("blocks do not cover the ground set")
-        return Partition(ground, _canon_from_uf(rep))
-
     def blocks(self) -> list[frozenset]:
         by_label: dict[int, list] = {}
         for i, lab in enumerate(self.labels):

@@ -41,14 +41,6 @@ class TreeDpState:
     score_unmatched: list[int]  # sum of positive child scores
     best_child: list[Optional[int]]
 
-    def children(self, g: WeightedGraph, v: int) -> list[int]:
-        out = []
-        for eid in g.adj[v]:
-            u = g.other(eid, v)
-            if self.parent[u] == v:
-                out.append(u)
-        return out
-
 
 def tree_dp(g: WeightedGraph, root: int = 0) -> TreeDpState:
     """Run the rooted DP; raises if ``g`` is not a connected tree."""

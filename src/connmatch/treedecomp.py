@@ -219,13 +219,6 @@ class NiceTreeDecomposition:
         out.reverse()
         return out
 
-    def as_tree_decomposition(self) -> TreeDecomposition:
-        edges = []
-        for i, nd in enumerate(self.nodes):
-            for c in nd.children:
-                edges.append((i, c))
-        return TreeDecomposition.build([set(nd.bag) for nd in self.nodes], edges)
-
 
 def make_nice(td: TreeDecomposition, pi: int) -> NiceTreeDecomposition:
     """Convert ``td`` to nice form whose root is the empty forget bag for ``pi``.

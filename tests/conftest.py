@@ -10,8 +10,10 @@ from __future__ import annotations
 import random
 from collections import deque
 from itertools import combinations
+from typing import Optional
 
-from connmatch.graphs import VertexWeightedGraph, WeightedGraph
+from connmatch.graphs import Matching, VertexWeightedGraph, WeightedGraph
+from connmatch.oracle import OracleError, OracleResult
 
 
 def path_graph(weights):
@@ -51,13 +53,16 @@ def random_connected_graph(rng: random.Random, n: int, extra: int, wlo: int = -1
     return WeightedGraph(n, edges)
 
 
-def random_chordal_graph(rng: random.Random, n: int, wlo: int = 0, whi: int = 10) -> WeightedGraph:
-    """Grow a connected chordal graph: each new vertex attaches to a clique."""
+def random_chordal_graph(
+    rng: random.Random, n: int, wlo: int = 0, whi: int = 10, max_clique: Optional[int] = None
+) -> WeightedGraph:
+    """Grow a connected chordal graph: each new vertex attaches to a clique.
+    ``max_clique`` bounds the cliques formed (so the treewidth is below it)."""
     cliques = [[0]]
     edges = []
     for v in range(1, n):
         base = rng.choice(cliques)
-        k = rng.randint(1, len(base))
+        k = rng.randint(1, len(base) if max_clique is None else min(len(base), max_clique - 1))
         attach = rng.sample(base, k)
         for u in attach:
             edges.append((u, v, rng.randint(wlo, whi)))
@@ -124,6 +129,44 @@ def naive_wcs(g: VertexWeightedGraph):
         if len(seen) == len(vset):
             best = w
     return best
+
+
+def brute_mwpm(g: WeightedGraph) -> OracleResult:
+    """Maximum weight perfect matching by exhaustive pairing, n <= 12."""
+    n = g.n
+    if n % 2 != 0:
+        raise OracleError("no perfect matching: odd number of vertices")
+    if n > 12:
+        raise OracleError(f"graph has {n} vertices, exceeding the oracle limit of 12")
+
+    edge_of = {}
+    for eid, (u, v, w) in enumerate(g.edges):
+        edge_of[(u, v)] = eid
+
+    best: list = [None, ()]
+    explored = 0
+
+    def rec(free: tuple[int, ...], cur: int, taken: tuple[int, ...]) -> None:
+        nonlocal explored
+        if not free:
+            explored += 1
+            if best[0] is None or cur > best[0]:
+                best[0] = cur
+                best[1] = taken
+            return
+        v = free[0]
+        rest = free[1:]
+        for i, u in enumerate(rest):
+            key = (v, u) if v < u else (u, v)
+            eid = edge_of.get(key)
+            if eid is None:
+                continue
+            rec(rest[:i] + rest[i + 1 :], cur + g.weight(eid), taken + (eid,))
+
+    rec(tuple(range(n)), 0, ())
+    if best[0] is None:
+        raise OracleError("no perfect matching exists")
+    return OracleResult(optimum=best[0], witness=Matching(g, best[1]), explored=explored)
 
 
 def brute_articulations(g: WeightedGraph) -> set[int]:

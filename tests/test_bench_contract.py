@@ -47,6 +47,8 @@ def _reject_constant(name):
         pytest.param("ktree-dp", 1, id="1"),
         # the traced run wraps the parse, component and tree-solver names
         pytest.param("tree-cli", 1, id="tree-cli-1"),
+        # ... and the chordal solver's build_gp and max_weight_perfect_matching
+        pytest.param("mixed-components", 1, id="mixed-components-1"),
     ],
 )
 def test_run_result_line(workload, trace):

@@ -10,35 +10,38 @@ from connmatch.graphs import (
     articulation_points,
     induced_by_matching_connected,
 )
-from connmatch.oracle import brute_mwcm, brute_mwpm
-from conftest import complete_graph, path_graph, random_chordal_graph, random_connected_graph
+from connmatch.oracle import brute_mwcm
+from connmatch.treewidth_solver import solve_treewidth
+from conftest import brute_mwpm, complete_graph, path_graph, random_chordal_graph, random_connected_graph
+
+
+def _rungs(gp, n):
+    """Weight of each rung ``(v, v+n)`` of a doubled graph, by vertex."""
+    return {u: w for u, v, w in gp.edges if v == u + n}
 
 
 class TestBuildGp:
-    def test_p3_becomes_k4(self):
-        comp = build_gp(path_graph([2, 5]))
-        assert comp.completed.n == 4
-        assert comp.completed.m == 6
-        assert comp.parity_vertex == 3
-        assert len(comp.fill_edge_ids) == 4
-        kept = {tuple(comp.completed.endpoints(e)): comp.completed.weight(e) for e in range(6)}
-        assert kept[(0, 1)] == 2 and kept[(1, 2)] == 5
-        # fills not touching the middle articulation stay at 0; the one fill
-        # at the articulation is priced out of any optimum
-        assert kept[(0, 2)] == 0 and kept[(0, 3)] == 0 and kept[(2, 3)] == 0
-        assert kept[(1, 3)] == comp.articulation_penalty < -(2 + 5)
+    def test_sizes_and_edge_order(self):
+        rng = random.Random(12)
+        graphs = [path_graph([2, 5]), WeightedGraph(1, []), complete_graph(4, lambda u, v: u + v)]
+        graphs += [random_chordal_graph(rng, rng.randint(1, 15), 0, 6) for _ in range(20)]
+        for g in graphs:
+            gp = build_gp(g)
+            n, m = g.n, g.m
+            assert gp.n == 2 * n and gp.m == 2 * m + n
+            assert gp.edges[:m] == g.edges
+            assert gp.edges[m : 2 * m] == tuple((u + n, v + n, w) for u, v, w in g.edges)
+            assert sorted(_rungs(gp, n)) == list(range(n))
 
-    def test_k4_unchanged(self):
-        g = complete_graph(4, lambda u, v: u + v)
-        comp = build_gp(g)
-        assert comp.completed == g
-        assert comp.parity_vertex is None
-        assert not comp.fill_edge_ids
+    def test_p3_penalty_on_the_articulation_rung(self):
+        gp = build_gp(path_graph([2, 5]))
+        # the middle vertex is the only articulation; its rung is priced
+        # below anything both copies together can carry
+        assert _rungs(gp, 3) == {0: 0, 1: -(1 + 2 + 5), 2: 0}
 
-    def test_k2_unchanged(self):
-        g = WeightedGraph(2, [(0, 1, 9)])
-        comp = build_gp(g)
-        assert comp.completed == g
+    def test_k2_and_k4_have_free_rungs(self):
+        for g in (WeightedGraph(2, [(0, 1, 9)]), complete_graph(4, lambda u, v: u + v)):
+            assert set(_rungs(build_gp(g), g.n).values()) == {0}
 
 
 class TestMwpm:
@@ -156,3 +159,20 @@ class TestSolveChordal:
                 if arts <= sat:
                     covering.append(eids)
             assert covering, f"no optimum saturates all articulations: {g.edges}"
+
+
+class TestCrossSolver:
+    """Checks beyond brute force's reach: the chordal solver against the
+    treewidth DP on chordal graphs up to n=200. Cliques of at most 4
+    vertices keep the width at 3 or below; weights 0..3 make zero edges and
+    ties common."""
+
+    @pytest.mark.parametrize("n, seed", [(40, 1), (80, 2), (120, 3), (160, 4), (200, 5), (200, 6)])
+    def test_chordal_agrees_with_treewidth_dp(self, n, seed):
+        g = random_chordal_graph(random.Random(seed), n, 0, 3, max_clique=4)
+        w_chordal, m_chordal = solve_chordal(g)
+        w_dp, m_dp = solve_treewidth(g)
+        assert w_chordal == w_dp
+        for w, m in ((w_chordal, m_chordal), (w_dp, m_dp)):
+            assert m.weight == w
+            assert induced_by_matching_connected(g, m)

@@ -4,9 +4,10 @@ import pytest
 
 from connmatch import fileio
 from connmatch.cli import main
-from connmatch.dispatch import dispatch_solve
+from connmatch.dispatch import SOLVERS, dispatch_solve
 from connmatch.graphs import GraphError, WeightedGraph
 from connmatch.oracle import brute_mwcm
+from connmatch.treedecomp import TdError, TreeDecomposition
 from conftest import cycle_graph, path_graph, random_chordal_graph, random_connected_graph, random_tree
 
 
@@ -53,6 +54,13 @@ class TestDispatch:
         w, m = dispatch_solve(g)
         assert w == 18
         assert m.vertices == {2, 3, 4, 5}
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_given_td_is_validated_whatever_the_solver(self, solver):
+        # bag {0, 1} leaves vertex 2 of the path uncovered
+        td = TreeDecomposition.build([{0, 1}], [])
+        with pytest.raises(TdError, match="vertex coverage fails"):
+            dispatch_solve(path_graph([5, 4]), solver=solver, td=td)
 
     def test_treewidth_route_on_dense_instance(self):
         rng = random.Random(3)
@@ -128,6 +136,16 @@ class TestCliSolveVerify:
         td = tmp_path / "t.td"
         td.write_text("s td 2 2 4\nb 1 1 2\nb 2 3 4\n1 2\n")
         assert main(["solve", "--graph", str(gp), "--td", str(td)]) == 2
+
+    def test_uncovering_td_is_exit_2_on_auto(self, tmp_path, capsys):
+        gp = tmp_path / "p3.gr"
+        gp.write_text("p wcm 3 2\ne 1 2 5\ne 2 3 4\n")
+        td = tmp_path / "t.td"
+        td.write_text("s td 1 2 3\nb 1 1 2\n")
+        assert main(["solve", "--graph", str(gp), "--td", str(td)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: vertex coverage fails: vertex 2 is in no bag\n"
 
     def test_bare_bag_line_is_exit_2(self, k2, tmp_path, capsys):
         td = tmp_path / "t.td"

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from connmatch.graphs import VertexWeightedGraph, WeightedGraph, induced_by_matching_connected
-from connmatch.oracle import OracleError, brute_mwcm, brute_mwpm, brute_wcs
+from connmatch.oracle import OracleError, brute_mwcm, brute_wcs
 from conftest import (
+    brute_mwpm,
     complete_graph,
     naive_mwcm,
     naive_wcs,

@@ -6,7 +6,16 @@ from connmatch.partitions import Partition, PartitionError, WeightedPartitionSet
 
 
 def P(ground, *blocks):
-    return Partition.from_blocks(ground, blocks)
+    """The partition of ``ground`` into ``blocks``: each element is labelled
+    with the position of its block's first element in the sorted ground."""
+    ground = tuple(sorted(ground))
+    pos = {v: i for i, v in enumerate(ground)}
+    labels = [None] * len(ground)
+    for block in blocks:
+        head = min(pos[v] for v in block)
+        for v in block:
+            labels[pos[v]] = head
+    return Partition(ground, tuple(labels))
 
 
 def all_partitions(ground):
@@ -30,7 +39,7 @@ def all_partitions(ground):
         blocks.pop()
 
     for blocks in rec(0, []):
-        yield Partition.from_blocks(ground, blocks)
+        yield P(ground, *blocks)
 
 
 class TestOperators:

@@ -112,7 +112,7 @@ class TestOracleEquivalence:
             g = random_tree(rng, rng.randint(2, 12))
             st = tree_dp(g)
             for v in range(g.n):
-                kids = st.children(g, v)
+                kids = [u for u in g.neighbors(v) if st.parent[u] == v]
                 assert st.score_unmatched[v] == sum(max(st.score[u], 0) for u in kids)
 
 
