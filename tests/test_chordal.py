@@ -39,9 +39,18 @@ class TestBuildGp:
         # below anything both copies together can carry
         assert _rungs(gp, 3) == {0: 0, 1: -(1 + 2 + 5), 2: 0}
 
-    def test_k2_and_k4_have_free_rungs(self):
-        for g in (WeightedGraph(2, [(0, 1, 9)]), complete_graph(4, lambda u, v: u + v)):
-            assert set(_rungs(build_gp(g), g.n).values()) == {0}
+    def test_k2_unchanged(self):
+        # no articulation: the doubled graph is two copies joined by free rungs
+        g = WeightedGraph(2, [(0, 1, 9)])
+        gp = build_gp(g)
+        assert gp.edges[: g.m] == g.edges
+        assert _rungs(gp, g.n) == {0: 0, 1: 0}
+
+    def test_k4_unchanged(self):
+        g = complete_graph(4, lambda u, v: u + v)
+        gp = build_gp(g)
+        assert gp.edges[: g.m] == g.edges
+        assert _rungs(gp, g.n) == {0: 0, 1: 0, 2: 0, 3: 0}
 
 
 class TestMwpm:
