@@ -246,6 +246,9 @@ def main(argv=None) -> int:
     except (GraphError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # any other failure is an error too, in one line
+        print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,34 +16,34 @@ and 1-based vertex ids externally (0-based in memory):
 Parsers report the offending line number; writers emit canonical output
 (sorted edge lists) so a parse/write round trip is byte-stable.
 
-A ``.gr`` file laid out exactly as the writer lays it out (the header, then
-one ``e`` line of four tokens per edge, single spaces, ``\n`` line ends, no
-comments or blank lines) takes a bulk path: the text is split once, each
-``e`` column is converted with one ``map(int, ...)`` and the graph is built
-straight from the columns (:meth:`WeightedGraph.from_columns`), with the
-64-bit weight bound checked by ``min``/``max``. Any other layout, and any
-error found on the bulk path, falls back to the line scanner, which gives
-the same graph or the same message with its line number.
+Graphs and certificates laid out exactly as the writers lay them out take
+a bulk path. One numpy tokenizer serves both: it works on the UTF-8 bytes,
+takes the positions of the space and ``\n`` bytes, checks from them that
+every row is ``e <u> <v> <w>`` (after the ``p wcm <n> <m>`` header) or
+``m <u> <v>`` with single spaces and a ``\n`` after each row (optional after
+the last), then parses every token at once by Horner steps over its digit
+positions. A token is taken only in the ASCII form ``-?[0-9]{1,19}`` and
+within the signed 64-bit range; magnitudes add up in uint64, so -2**63
+parses too.
 
-Certificates take the same kind of bulk path when the text is exactly the
-writer's layout (``m <u> <v>`` lines, single spaces, ``\n`` line ends):
-one ``split``, one ``map(int, ...)`` per endpoint column and a range check
-by ``min``/``max``. Sorting the listed endpoints proves that no vertex is
-listed twice; then a partner table indexed by vertex finds every listed
-edge in one pass over the graph's int64 endpoint arrays, and the edge ids
-come out sorted. On any doubt (another layout, a bad token, a vertex out
-of range or listed twice, a pair that is not an edge, or a graph with
-isolated vertices) the line scanner reads the text, so every message names
-its line. A certificate must not list an edge twice or two edges that share
-a vertex. The certificate writer sorts the matched edges on the endpoint
-arrays and formats them in one ``join``.
+A graph is then built straight from the int64 columns
+(:meth:`WeightedGraph.from_columns`). A certificate must not list an edge
+twice or two edges that share a vertex; on the bulk path one sort of its
+endpoints proves that no vertex is listed twice, then a partner table
+indexed by vertex finds every listed edge in one pass over the graph's
+endpoint arrays, and the edge ids come out sorted.
+
+On any doubt (another layout, comments, blank lines, ``\r``, a token such
+as ``+1``, ``1_0``, non-ASCII digits or more than 19 digits, a value out of
+range, a vertex listed twice, a pair that is not an edge, a certificate for
+a graph with isolated vertices) the line scanner reads the text instead. It
+gives the same graph or matching, or the same error with its line number.
+The certificate writer sorts the matched edges on the endpoint arrays and
+formats them in one ``join``.
 """
 
 from __future__ import annotations
 
-import re
-from itertools import repeat
-from operator import sub
 from pathlib import Path
 from typing import Union
 
@@ -89,35 +89,96 @@ def read_text(path) -> str:
 # graphs
 
 
-# The writer's layout, with any tokens; ``\S`` and ``str.split`` agree on
-# what counts as whitespace, so every line break in a match is a ``\n``.
-_GR_LAYOUT = re.compile(r"p \S+ \S+ \S+(?:\ne \S+ \S+ \S+)*\n?")
-
-
 def parse_graph_text(text: str) -> WeightedGraph:
     g = _parse_graph_bulk(text)
     return g if g is not None else _parse_graph_lines(text)
 
 
+def _int_rows(data: bytes, start: int, tag: bytes, k: int):
+    """The integers of ``data[start:]`` as an ``(rows, k)`` int64 array, if
+    every row there is ``<tag> <int> ... <int>`` with k ints, single spaces
+    and a ``\n`` after each row (optional after the last) and every int is
+    an ASCII ``-?[0-9]{1,19}`` within int64; None otherwise."""
+    import numpy as np
+
+    a = np.frombuffer(data, dtype=np.uint8, offset=start)
+    if not a.size:
+        return np.zeros((0, k), dtype=np.int64)
+    if a[-1] != 10:
+        a = np.append(a, np.uint8(10))
+    # Every byte up to the space is taken for a separator here, so the
+    # column checks below also reject tabs, carriage returns and the like.
+    seps = np.flatnonzero(a <= 32)
+    rows, rest = divmod(seps.size, k + 1)
+    if rest:
+        return None
+    seps = seps.reshape(rows, k + 1)
+    ends = seps[:, k]
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # With every row end a newline, rows * k spaces are the other separators.
+    if not (
+        (a[ends] == 10).all()
+        and np.count_nonzero(a == 32) == rows * k
+        and (seps[:, 0] == starts + 1).all()
+        and (a[starts] == ord(tag)).all()
+    ):
+        return None
+    # Token j of a row is the bytes between its separators j and j + 1,
+    # with an optional leading minus. The separators and tags hold no
+    # digit, so the digits are where they should be iff they are as many
+    # as the tokens claim.
+    first = seps[:, :k] + 1
+    neg = a[first] == 45
+    first += neg
+    last = np.ascontiguousarray(seps[:, 1:])
+    ndig = last - first
+    del seps, ends, starts, first
+    if not (1 <= ndig.min() and ndig.max() <= 19):
+        return None
+    digits = a - 48  # uint8: every byte that is not a digit wraps to >= 10
+    if np.count_nonzero(digits < 10) != ndig.sum():
+        return None
+    # Horner steps over the digit positions, right-aligned: a token shorter
+    # than the widest reads as zeros before its first digit. Nineteen
+    # digits fit in uint64, and so does the magnitude of -2**63.
+    mag = np.zeros(ndig.shape, dtype=np.uint64)
+    for shift in range(int(ndig.max()), 0, -1):
+        digit = digits.take(last - shift, mode="clip")
+        digit *= ndig >= shift
+        mag *= np.uint64(10)
+        mag += digit
+    if (mag > np.uint64(_INT64_MAX) + neg).any():
+        return None
+    np.negative(mag, out=mag, where=neg)
+    return mag.view(np.int64)
+
+
+def _header_int(tok: bytes):
+    """``int(tok)`` for a token of the bulk domain ``-?[0-9]{1,19}``, else None."""
+    digits = tok[1:] if tok[:1] == b"-" else tok
+    return int(tok) if 0 < len(digits) <= 19 and digits.isdigit() else None
+
+
 def _parse_graph_bulk(text: str):
     """The graph of a valid ``.gr`` text in the writer's layout; None for
     any other text, which the line scanner then reads or rejects."""
-    if _GR_LAYOUT.fullmatch(text) is None:
+    data = text.encode()
+    if not data.startswith(b"p wcm "):
         return None
-    toks = text.split()
-    if toks[1] != "wcm":
+    nl = data.find(b"\n")
+    if nl < 0:
+        nl = len(data)
+    head = data[6:nl].split(b" ")
+    if len(head) != 2:
+        return None
+    n, m = map(_header_int, head)
+    if n is None or m is None:
+        return None
+    rows = _int_rows(data, min(nl + 1, len(data)), b"e", 3)
+    if rows is None or len(rows) != m:
         return None
     try:
-        n, m = int(toks[2]), int(toks[3])
-        us = list(map(sub, map(int, toks[5::4]), repeat(1)))
-        vs = list(map(sub, map(int, toks[6::4]), repeat(1)))
-        ws = list(map(int, toks[7::4]))
-    except ValueError:
-        return None
-    if m != len(ws) or (ws and (min(ws) < _INT64_MIN or max(ws) > _INT64_MAX)):
-        return None
-    try:
-        return WeightedGraph.from_columns(n, us, vs, ws)
+        return WeightedGraph.from_columns(n, rows[:, 0] - 1, rows[:, 1] - 1, rows[:, 2])
     except GraphError:
         return None
 
@@ -444,10 +505,6 @@ def write_td(td: TreeDecomposition, n: int, path) -> None:
 # certificates and label maps
 
 
-# The writer's layout, with any tokens; an empty text is the empty matching.
-_CERT_LAYOUT = re.compile(r"(?:m \S+ \S+\n)*(?:m \S+ \S+)?")
-
-
 def parse_certificate_text(text: str, g: WeightedGraph) -> Matching:
     m = _parse_certificate_bulk(text, g)
     return m if m is not None else _parse_certificate_lines(text, g)
@@ -460,31 +517,26 @@ def _parse_certificate_bulk(text: str, g: WeightedGraph):
     # The partner table below has one entry per vertex. A graph with more
     # vertices than edge endpoints has isolated ones, maybe very many, and is
     # left to the line scanner, so the table is never larger than the graph.
-    if n > 2 * g.m or _CERT_LAYOUT.fullmatch(text) is None:
+    if n > 2 * g.m:
         return None
-    toks = text.split()
-    try:
-        us = list(map(int, toks[1::3]))
-        vs = list(map(int, toks[2::3]))
-    except ValueError:
+    pairs = _int_rows(text.encode(), 0, b"m", 2)
+    if pairs is None:
         return None
-    del toks
-    if not us:
+    if not pairs.size:
         return Matching(g, [])
-    if min(us) < 1 or min(vs) < 1 or max(us) > n or max(vs) > n:
+    if pairs.min() < 1 or pairs.max() > n:
         return None
     import numpy as np
 
-    u = np.array(us, dtype=np.int64) - 1
-    v = np.array(vs, dtype=np.int64) - 1
-    del us, vs
     # No vertex twice rules out shared vertices, repeated pairs and self
     # pairs; then each vertex has at most one partner, and an edge is listed
     # iff its ``lo`` has its ``hi`` as partner.
-    ends = np.sort(np.concatenate((u, v)))
+    ends = np.sort(pairs, axis=None)
     if (ends[1:] == ends[:-1]).any():
         return None
     del ends
+    u = pairs[:, 0] - 1
+    v = pairs[:, 1] - 1
     partner = np.full(n, -1, dtype=np.int64)
     partner[u] = v
     partner[v] = u

@@ -6,13 +6,17 @@ construction and safe to share between concurrent solves.
 
 A :class:`WeightedGraph` keeps its edges as three flat columns: the
 endpoints ``lo`` and ``hi`` (``lo[e] < hi[e]``) and ``weights``.
-Construction validates the columns in bulk (range, self-loops, plain int
-values, and duplicates as ``lo * n + hi`` int keys); on the first doubt it
-reruns the per-edge check in edge order, so an error names the same edge as
-before. What derives from the columns is built on first use and cached:
-the ``(u, v, w)`` triples ``edges``, the adjacency lists ``adj``, the pair
-index behind :meth:`WeightedGraph.edge_id` and the int64 endpoint arrays.
-Two threads that race on a cache build equal values.
+Construction validates the columns in bulk: range, self-loops, plain int
+values and duplicates. Columns of Python ints are checked with a set of
+exact ``lo * n + hi`` int keys. int64 numpy columns (the ``.gr`` bulk
+parser's) are checked in numpy, with one sort of the same keys in uint64;
+above n = 2**32 these wrap, and a repeated key only counts as doubt. On
+the first doubt the per-edge check reruns in edge order, so an error names
+the same edge as before. What derives from the columns is built on first
+use and cached: the ``(u, v, w)`` triples ``edges``, the adjacency lists
+``adj``, the pair index behind :meth:`WeightedGraph.edge_id` and the int64
+endpoint arrays (kept from the check when the columns came as arrays). Two
+threads that race on a cache build equal values.
 
 Connectivity (:meth:`WeightedGraph.components`, :func:`is_connected`,
 :func:`induced_by_matching_connected`) runs on one numpy labeller that
@@ -55,6 +59,40 @@ def _check_columns(n: int, us: Sequence, vs: Sequence, ws: Sequence):
         lo, hi = tuple(map(min, us, vs)), tuple(map(max, us, vs))
     if len(set(_pair_keys(n, lo, hi))) != len(lo):
         return None
+    return lo, hi
+
+
+def _check_arrays(n: int, us, vs, ws):
+    """Read-only int64 ``(lo, hi)`` arrays if the int64 columns form a valid
+    edge list, otherwise None.
+
+    Duplicates show as equal ``lo * n + hi`` keys, computed in uint64. Up to
+    n = 2**32 distinct pairs have distinct keys; above it the keys wrap, and
+    a collision only counts as doubt, which the per-edge check settles.
+    """
+    import numpy as np
+
+    cols = (us, vs, ws)
+    if not (
+        type(n) is int
+        and 0 <= n < 2**63
+        and all(isinstance(c, np.ndarray) and c.dtype == np.int64 and c.ndim == 1 for c in cols)
+        and len(us) == len(vs) == len(ws)
+    ):
+        return None
+    if us.size and (min(us.min(), vs.min()) < 0 or max(us.max(), vs.max()) >= n):
+        return None
+    lo = np.minimum(us, vs)
+    hi = np.maximum(us, vs)
+    if (lo == hi).any():
+        return None
+    keys = lo.astype(np.uint64)
+    keys *= np.uint64(n)
+    keys += hi.astype(np.uint64)
+    keys.sort()
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    lo.flags.writeable = hi.flags.writeable = False
     return lo, hi
 
 
@@ -115,7 +153,8 @@ class WeightedGraph:
     positions in that tuple. ``lo``, ``hi`` and ``weights`` are the same
     edges as columns: ``edges[e] == (lo[e], hi[e], weights[e])``. ``edges``
     and ``adj`` are built from the columns on first use; ``adj[v]`` lists
-    the ids of edges incident to ``v`` in increasing order.
+    the ids of edges incident to ``v`` in increasing order. The columns are
+    tuples of Python ints, also when :meth:`from_columns` got numpy arrays.
     """
 
     __slots__ = ("n", "lo", "hi", "weights", "_edges", "_adj", "_pair_index", "_arrays")
@@ -139,7 +178,17 @@ class WeightedGraph:
     @classmethod
     def from_columns(cls, n: int, us: Sequence[int], vs: Sequence[int], ws: Sequence[int]) -> "WeightedGraph":
         """``WeightedGraph(n, zip(us, vs, ws))``, built without the
-        intermediate triples; errors are the same."""
+        intermediate triples; errors are the same. The columns are sequences
+        of ints or int64 numpy arrays; arrays are checked in numpy, and the
+        ``lo``/``hi`` arrays built there become :meth:`endpoint_arrays`."""
+        if hasattr(us, "dtype"):
+            arrays = _check_arrays(n, us, vs, ws)
+            if arrays is None:
+                return cls(n, zip(us.tolist(), vs.tolist(), ws.tolist()))
+            g = cls.__new__(cls)
+            g._set(n, arrays[0].tolist(), arrays[1].tolist(), ws.tolist())
+            g._arrays = arrays
+            return g
         cols = _check_columns(n, us, vs, ws) if n >= 0 else None
         if cols is None:
             return cls(n, zip(us, vs, ws))

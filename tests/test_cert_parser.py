@@ -95,6 +95,12 @@ CASES = {
     "n = 0, comment": (G0, "c only\n"),
     "huge n": (HUGE, f"m {10**12} 3\n"),
     "huge n, empty": (HUGE, ""),
+    "leading zeros": (G, "m 001 02\nm 3 0004\n"),
+    "20-digit vertex": (G, f"m {'0' * 19}1 2\n"),
+    "vertex 2**63": (G, f"m 1 {2**63}\n"),
+    "double minus": (G, "m --1 2\n"),
+    "trailing minus": (G, "m 1- 2\n"),
+    "lone minus": (G, "m - 2\n"),
 }
 
 
@@ -106,12 +112,24 @@ class TestDifferential:
 
     @pytest.mark.parametrize(
         "name",
-        ["canonical", "one edge", "empty", "no final newline", "reversed pair", "plus sign",
-         "underscore", "arabic digits", "fullwidth digits", "n = 0, empty"],
+        ["canonical", "one edge", "empty", "no final newline", "reversed pair", "n = 0, empty",
+         "leading zeros"],
     )
     def test_bulk_path_taken(self, name):
         g, text = CASES[name]
         assert assert_agree(text, g)
+
+    @pytest.mark.parametrize(
+        "name",
+        ["plus sign", "underscore", "arabic digits", "fullwidth digits", "20-digit vertex", "vertex 2**63",
+         "double minus", "trailing minus", "lone minus"],
+    )
+    def test_line_scanner_taken(self, name):
+        """Tokens outside ASCII ``-?[0-9]{1,19}`` or outside int64 leave the
+        bulk path; the line scanner still gives the same outcome."""
+        g, text = CASES[name]
+        assert _parse_certificate_bulk(text, g) is None
+        assert not assert_agree(text, g)
 
     def test_isolated_vertices_take_the_line_scanner(self):
         g, text = CASES["huge n"]
@@ -136,7 +154,10 @@ class TestDifferential:
         assert outcome(parse_certificate_text, text, g) == (fileio.FormatError, message)
 
 
-TOKENS = st.sampled_from(["m", "m", "c", "x", "0", "1", "2", "3", "4", "5", "6", "7", "+2", "1_0", "\u0663", "-1"])
+TOKENS = st.sampled_from(
+    ["m", "m", "c", "x", "0", "1", "2", "3", "4", "5", "6", "7", "+2", "1_0", "\u0663", "-1", "007", "-0", "--1",
+     "1-", str(10**19)]
+)
 SEPARATORS = st.sampled_from(["  ", "\t", "\xa0", "\x0b", "\n", "\u2028"])
 LINE_ENDS = st.sampled_from(["\r\n", "\r", " ", "\x0b", "\n\n", ""])
 EDITS = st.sampled_from(["pair", "tokens", "separator", "line end", "repeat", "reverse", "drop token"])

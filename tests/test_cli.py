@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from connmatch import fileio
+from connmatch import cli, fileio
 from connmatch.cli import main
 from connmatch.dispatch import SOLVERS, dispatch_solve
 from connmatch.graphs import GraphError, WeightedGraph
@@ -165,6 +165,17 @@ class TestCliSolveVerify:
         assert main(["solve", "--graph", str(k2), "--td", str(td)]) == 2
         assert "line 2: file is not valid UTF-8" in capsys.readouterr().err
 
+
+    def test_unexpected_exception_is_exit_2(self, k2, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("solver blew up")
+
+        monkeypatch.setattr(cli, "dispatch_solve", boom)
+        assert main(["solve", "--graph", str(k2)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: RuntimeError: solver blew up"]
+        assert "Traceback" not in err
 
 class TestCliGenerateAndMap:
     def test_generate_starlike_and_verify_lifted(self, tmp_path, capsys):

@@ -89,6 +89,14 @@ CASES = {
     "negative n with an edge": "p wcm -1 1\ne 1 2 5\n",
     "negative m": "p wcm 3 -1\n",
     "huge n": f"p wcm {10**12} 1\ne 1 {10**12} 5\n",
+    "leading zeros": "p wcm 4 1\ne 001 2 -0\n",
+    "20-digit token": f"p wcm 4 1\ne 1 2 {'0' * 19}5\n",
+    "20-digit weight": f"p wcm 4 1\ne 1 2 {10**19}\n",
+    "20-digit header": f"p wcm {'0' * 19}4 1\ne 1 2 5\n",
+    "double minus": "p wcm 4 1\ne 1 2 --1\n",
+    "trailing minus": "p wcm 4 1\ne 1 2 1-\n",
+    "lone minus": "p wcm 4 1\ne 1 2 -\n",
+    "header announces an edge, none follows": "p wcm 0 1\n",
     "unicode line separator": canonical(4, BASE).replace("\n", "\u2028"),
     "bom": "\ufeff" + canonical(4, BASE),
 }
@@ -101,11 +109,23 @@ class TestDifferential:
 
     @pytest.mark.parametrize(
         "name",
-        ["canonical", "no final newline", "no edges", "plus sign", "underscore", "arabic digits",
-         "weight 2**63 - 1", "weight -2**63", "huge n"],
+        ["canonical", "no final newline", "no edges", "weight 2**63 - 1", "weight -2**63", "huge n",
+         "leading zeros"],
     )
     def test_bulk_path_taken(self, name):
         assert assert_agree(CASES[name])
+
+    @pytest.mark.parametrize(
+        "name",
+        ["plus sign", "underscore", "arabic digits", "fullwidth digits", "weight 2**63", "20-digit token",
+         "20-digit weight", "20-digit header", "double minus", "trailing minus", "lone minus",
+         "header announces an edge, none follows"],
+    )
+    def test_line_scanner_taken(self, name):
+        """Tokens outside ASCII ``-?[0-9]{1,19}`` or outside int64 leave the
+        bulk path; the line scanner still gives the same outcome."""
+        assert _parse_graph_bulk(CASES[name]) is None
+        assert not assert_agree(CASES[name])
 
     def test_writer_output_takes_bulk_path(self):
         rng = random.Random(3)
@@ -130,7 +150,7 @@ SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t", "\xa0", "\x0b"])
 LINE_ENDS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", ""])
 TOKENS = st.sampled_from(
     ["p", "wcm", "e", "c", "x", "0", "1", "2", "3", "4", "-1", "+2", "1_0", "\u0663", "1.5",
-     str(2**63), str(-(2**63)), str(2**63 - 1), str(-(2**63) - 1)]
+     str(2**63), str(-(2**63)), str(2**63 - 1), str(-(2**63) - 1), "007", "-0", "--1", "1-", str(10**19)]
 )
 
 

@@ -293,6 +293,49 @@ class TestColumns:
             WeightedGraph(n, edges)
         assert str(bulk.value) == str(plain.value)
 
+    def test_int64_arrays_match_triples(self):
+        """Numpy columns give the graph of the triples, or the same error."""
+        import numpy as np
+
+        def outcome(build):
+            try:
+                g = build()
+            except GraphError as exc:
+                return str(exc)
+            return g.n, g.edges, g.lo, g.hi, g.weights
+
+        rng = random.Random(402)
+        errors = seeded = 0
+        for _ in range(300):
+            n = rng.choice([0, 1, 2, 5, 12, 10**12])
+            edges = []
+            for _ in range(rng.randint(0, 8)):
+                kind = rng.random()
+                if edges and kind < 0.15:  # a duplicate, either way round
+                    u, v, _ = rng.choice(edges)
+                    u, v = (v, u) if rng.random() < 0.5 else (u, v)
+                elif kind < 0.25:  # a self-loop
+                    u = v = rng.randrange(max(n, 1))
+                elif kind < 0.35:  # an end out of range
+                    u, v = rng.choice([-1, n, n + 7, -(2**63), 2**63 - 1]), rng.randrange(max(n, 1))
+                else:
+                    u, v = rng.randrange(max(n, 1)), rng.randrange(max(n, 1))
+                edges.append((u, v, rng.choice([0, -3, 7, 2**63 - 1, -(2**63), rng.randint(-(2**63), 2**63 - 1)])))
+            cols = [np.array(c, dtype=np.int64) for c in zip(*edges)] or [np.zeros(0, dtype=np.int64)] * 3
+            want = outcome(lambda: WeightedGraph(n, edges))
+            got = outcome(lambda: WeightedGraph.from_columns(n, *cols))
+            assert got == want, (n, edges)
+            if isinstance(want, str):
+                errors += 1
+                continue
+            assert {type(x) for c in want[2:] for x in c} <= {int}
+            g = WeightedGraph.from_columns(n, *cols)
+            seeded += g._arrays is not None  # built in numpy, not by the fallback
+            lo, hi = g.endpoint_arrays()
+            assert lo.dtype == hi.dtype == np.int64 and not lo.flags.writeable
+            assert (lo.tolist(), hi.tolist()) == (list(want[2]), list(want[3]))
+        assert 50 < errors < 250 and seeded > 50
+
     def test_non_tuple_edges_still_accepted(self):
         g = WeightedGraph(3, [[2, 1, 4], (0, 1, 2)])
         assert g.edges == ((1, 2, 4), (0, 1, 2))

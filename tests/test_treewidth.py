@@ -8,7 +8,9 @@ from connmatch import partitions
 from connmatch.partitions import WeightedPartitionSet, overlay_memo
 from connmatch.treedecomp import TreeDecomposition, heuristic_td, make_nice
 from connmatch.treewidth_solver import _node_table, solve_treewidth
-from conftest import cycle_graph, path_graph, random_connected_graph
+from connmatch.degree2_solver import solve_degree_two
+from connmatch.tree_solver import _solve_tree_layered, solve_tree
+from conftest import cycle_graph, path_graph, random_connected_graph, random_tree
 
 
 class TestSpotValues:
@@ -56,6 +58,39 @@ class TestOracleEquivalence:
             assert w == brute_mwcm(g, edge_limit=64).optimum
             assert m.weight == w
             assert induced_by_matching_connected(g, m)
+
+
+
+class TestCrossSolver:
+    """The treewidth DP, forced, against the tree and cycle solvers."""
+
+    @staticmethod
+    def assert_agree(g, other):
+        """The forced DP's optimum equals ``other``'s; both witnesses check."""
+        results = (solve_treewidth(g), other)
+        assert results[0][0] == other[0]
+        for w, m in results:
+            assert m.weight == w
+            assert induced_by_matching_connected(g, m)
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40, 300, 2000])
+    def test_random_trees(self, n):
+        rng = random.Random(n)
+        for _ in range(3 if n <= 300 else 1):
+            g = random_tree(rng, n)
+            self.assert_agree(g, solve_tree(g))
+
+    def test_tree_on_the_layered_path(self):
+        g = random_tree(random.Random(5000), 5000)
+        assert _solve_tree_layered(g, 0) is not None
+        self.assert_agree(g, solve_tree(g))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 9, 60, 300])
+    def test_cycles(self, n):
+        rng = random.Random(n)
+        for _ in range(3):
+            g = cycle_graph([rng.randint(-10, 10) for _ in range(n)])
+            self.assert_agree(g, solve_degree_two(g))
 
 
 def _tables_per_node(g, nd, use_reduce):
