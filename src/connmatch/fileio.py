@@ -17,8 +17,8 @@ Parsers report the offending line number; writers emit canonical output
 (sorted edge lists) so a parse/write round trip is byte-stable.
 
 Graphs and certificates laid out exactly as the writers lay them out take
-a bulk path. One numpy tokenizer serves both: it works on the UTF-8 bytes,
-takes the positions of the space and ``\n`` bytes, checks from them that
+a bulk path. One numpy tokenizer serves both: it works on the bytes of an
+ASCII text (any other text falls back at once), takes the positions of the space and ``\n`` bytes, checks from them that
 every row is ``e <u> <v> <w>`` (after the ``p wcm <n> <m>`` header) or
 ``m <u> <v>`` with single spaces and a ``\n`` after each row (optional after
 the last), then parses every token at once by Horner steps over its digit
@@ -162,9 +162,9 @@ def _header_int(tok: bytes):
 def _parse_graph_bulk(text: str):
     """The graph of a valid ``.gr`` text in the writer's layout; None for
     any other text, which the line scanner then reads or rejects."""
-    data = text.encode()
-    if not data.startswith(b"p wcm "):
+    if not (text.isascii() and text.startswith("p wcm ")):
         return None
+    data = text.encode("ascii")
     nl = data.find(b"\n")
     if nl < 0:
         nl = len(data)
@@ -517,9 +517,9 @@ def _parse_certificate_bulk(text: str, g: WeightedGraph):
     # The partner table below has one entry per vertex. A graph with more
     # vertices than edge endpoints has isolated ones, maybe very many, and is
     # left to the line scanner, so the table is never larger than the graph.
-    if n > 2 * g.m:
+    if n > 2 * g.m or not text.isascii():
         return None
-    pairs = _int_rows(text.encode(), 0, b"m", 2)
+    pairs = _int_rows(text.encode("ascii"), 0, b"m", 2)
     if pairs is None:
         return None
     if not pairs.size:

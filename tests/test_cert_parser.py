@@ -101,6 +101,7 @@ CASES = {
     "double minus": (G, "m --1 2\n"),
     "trailing minus": (G, "m 1- 2\n"),
     "lone minus": (G, "m - 2\n"),
+    "lone surrogate": (G, "m 1 \ud800\n"),
 }
 
 

@@ -97,6 +97,7 @@ CASES = {
     "trailing minus": "p wcm 4 1\ne 1 2 1-\n",
     "lone minus": "p wcm 4 1\ne 1 2 -\n",
     "header announces an edge, none follows": "p wcm 0 1\n",
+    "lone surrogate": "p wcm 4 1\ne 1 2 \ud800\n",
     "unicode line separator": canonical(4, BASE).replace("\n", "\u2028"),
     "bom": "\ufeff" + canonical(4, BASE),
 }
@@ -122,8 +123,9 @@ class TestDifferential:
          "header announces an edge, none follows"],
     )
     def test_line_scanner_taken(self, name):
-        """Tokens outside ASCII ``-?[0-9]{1,19}`` or outside int64 leave the
-        bulk path; the line scanner still gives the same outcome."""
+        """Tokens outside ASCII ``-?[0-9]{1,19}`` or outside int64, and an
+        edge count that differs from the header's, leave the bulk path; the
+        line scanner still gives the same outcome."""
         assert _parse_graph_bulk(CASES[name]) is None
         assert not assert_agree(CASES[name])
 
