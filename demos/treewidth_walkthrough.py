@@ -38,10 +38,11 @@ for use_reduce in (True, False):
     for x in nd.postorder():
         kids = nd.nodes[x].children
         tables[x] = _node_table(g, nd, x, [tables[c] for c in kids], use_reduce)
-        for wps in tables[x].values():
-            biggest = max(biggest, len(wps))
-            total_entries += len(wps)
-            if use_reduce and len(wps) > 1 << max(len(wps.ground) - 1, 0):
+        # cells are keyed by (S, U) bitmasks over the bag; the ground is S | U
+        for (s, u), entries in tables[x].items():
+            biggest = max(biggest, len(entries))
+            total_entries += len(entries)
+            if use_reduce and len(entries) > 1 << max((s | u).bit_count() - 1, 0):
                 within_bound = False
         for c in kids:
             del tables[c]

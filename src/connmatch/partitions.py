@@ -1,22 +1,26 @@
 """Weighted sets of partitions: the table cells of the treewidth DP.
 
 A partition of a ground set is stored canonically: the ground set is a
-sorted vertex tuple and each position is labeled with the smallest position
-of its block. The order is fixed where a ground is built: ``from_weighted``
-sorts, ``insert`` sorts the enlarged ground and ``project`` keeps the order;
-every other operator reuses its operand's ground, and ``join`` and ``glue``
-work within one ground set. Entries of a :class:`WeightedPartitionSet` map
-canonical partitions to ``(weight, trace)`` pairs where the trace records
-how the entry was derived (which matched edges, which child entries) so a
-witness matching can be rebuilt from any surviving entry.
+strictly sorted tuple and each position is labelled with the smallest
+position of its block. A cell is a plain dict of entries mapping such label
+tuples to ``(weight, trace)`` pairs, where the trace records how the entry
+was derived (which matched edges, which child entries) so a witness matching
+can be rebuilt from any surviving entry.
 
-All operators keep only the maximum weight per partition (the problem
-maximizes, so duplicate-removal and the representative-set reduction are
-max-oriented). ``reduce`` prunes a cell to at most ``2^(|ground|-1)``
-entries: rows are the entries' consistency vectors against all two-sided
-cuts of the ground set with a fixed element pinned to the left side, and a
-greedy basis over GF(2), visiting rows by descending weight, preserves
-``opt(q, .)`` for every possible future coarsening ``q``.
+Each operator (insert, glue, project, join, reduce, and the max-merge of
+two cells) is one module-level function on entry dicts over ground
+positions, which the treewidth DP calls directly. The methods of
+:class:`WeightedPartitionSet`, which pairs an entry dict with its ground
+tuple, take ground elements instead and wrap the same functions.
+
+All operators keep only the maximum weight per partition, the first one seen
+on ties (the problem maximizes, so duplicate removal and the
+representative-set reduction are max-oriented). ``reduce`` prunes a cell to
+at most ``2^(|ground|-1)`` entries: rows are the entries' consistency
+vectors against all two-sided cuts of the ground set with a fixed element
+pinned to the left side, and a greedy basis over GF(2), visiting rows by
+descending weight, preserves ``opt(q, .)`` for every possible future
+coarsening ``q``.
 """
 
 from __future__ import annotations
@@ -46,9 +50,10 @@ class Partition:
     def __post_init__(self):
         if tuple(sorted(set(self.ground))) != self.ground:
             raise PartitionError("ground set must be strictly sorted")
-        if len(self.labels) != len(self.ground):
-            raise PartitionError("labels must cover the ground set")
-        if self.labels != _canon_labels(list(self.labels)):
+        g = len(self.ground)
+        if len(self.labels) != g or not all(0 <= lab < g for lab in self.labels):
+            raise PartitionError("labels must give a ground position for each element")
+        if self.labels != _overlay(range(len(self.labels)), self.labels):
             raise PartitionError("labels are not canonical")
 
     def blocks(self) -> list[frozenset]:
@@ -73,29 +78,22 @@ def _union(rep: list[int], a: int, b: int) -> None:
         rep[rb] = ra
 
 
-def _canon_from_uf(rep: list[int]) -> tuple:
-    out = [0] * len(rep)
-    first: dict[int, int] = {}
-    for i in range(len(rep)):
-        r = _find(rep, i)
-        m = first.get(r)
-        if m is None:
-            first[r] = i
-            out[i] = i
-        else:
-            out[i] = m
-    return tuple(out)
+def _overlay(la, lb) -> tuple:
+    """Canonical labels of the finest partition coarser than both labellings.
 
-
-def _canon_labels(raw: list[int]) -> tuple:
-    rep = list(range(len(raw)))
-    for i, lab in enumerate(raw):
+    ``la`` must be canonical (``range(g)`` is the partition into singletons);
+    ``lb`` may be any labelling by positions.
+    """
+    rep = list(la)
+    for i, lab in enumerate(lb):
         _union(rep, i, lab)
-    return _canon_from_uf(rep)
+    # unions hang the larger root below the smaller, so each block's root
+    # is its smallest position
+    return tuple([_find(rep, i) for i in range(len(rep))])
 
 
 # ---------------------------------------------------------------------------
-# weighted partition sets
+# the operators on entry dicts
 
 # Canonical overlay of two label tuples, keyed by ``(la, lb)``; a dict only
 # inside an ``overlay_memo()`` block.
@@ -104,7 +102,7 @@ _overlay_memo: Optional[dict] = None
 
 @contextmanager
 def overlay_memo() -> Iterator[None]:
-    """Share join overlays across all ``join`` calls inside the block.
+    """Share join overlays across all ``join_entries`` calls inside the block.
 
     The overlay of two label tuples depends on nothing else, so one solve
     repeats the same few overlays across many cells. The memo is dropped on
@@ -141,208 +139,111 @@ def trace_edges(trace) -> list[int]:
     return out
 
 
-class WeightedPartitionSet:
-    """Partitions of one ground set, each with its best weight and trace."""
+def merge_entries(out: dict, entries: dict) -> None:
+    """Max-merge ``entries`` into ``out`` (one ground set)."""
+    for labels, payload in entries.items():
+        cur = out.get(labels)
+        if cur is None or payload[0] > cur[0]:
+            out[labels] = payload
 
-    __slots__ = ("ground", "entries")
 
-    def __init__(self, ground: tuple, entries: Optional[dict] = None):
-        self.ground = tuple(ground)
-        self.entries: dict = entries if entries is not None else {}
+def insert_entries(entries: dict, q: int) -> dict:
+    """A fresh singleton block at ground position ``q``; the positions from
+    ``q`` on move up by one."""
+    out = {}
+    for labels, payload in entries.items():
+        head = labels[:q] + (q,)  # canonical labels before q are below q
+        out[head + tuple([lab + (lab >= q) for lab in labels[q:]])] = payload
+    return out
 
-    # -- construction ------------------------------------------------------
 
-    @staticmethod
-    def empty_partition_unit(weight: int = 0) -> "WeightedPartitionSet":
-        return WeightedPartitionSet((), {(): (weight, None)})
+def glue_entries(entries: dict, block: list[int]) -> dict:
+    """Merge the blocks of the ground positions ``block`` into one.
 
-    @staticmethod
-    def from_weighted(ground, pairs) -> "WeightedPartitionSet":
-        """rmc over raw (labels, weight[, trace]) items: keep the max per partition."""
-        wps = WeightedPartitionSet(tuple(sorted(ground)))
-        entries = wps.entries
-        for item in pairs:
-            labels, weight = item[0], item[1]
-            trace = item[2] if len(item) > 2 else None
-            labels = _canon_labels(list(labels))
-            cur = entries.get(labels)
-            if cur is None or weight > cur[0]:
-                entries[labels] = (weight, trace)
-        return wps
+    The touched blocks take the smallest of their labels, which is the
+    merged block's smallest position, so the result stays canonical.
+    """
+    out = {}
+    for labels, payload in entries.items():
+        touched = {labels[i] for i in block}
+        if len(touched) > 1:
+            low = min(touched)
+            labels = tuple([low if lab in touched else lab for lab in labels])
+        cur = out.get(labels)
+        if cur is None or payload[0] > cur[0]:
+            out[labels] = payload
+    return out
 
-    def __len__(self):
-        return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries.items())
+def project_entries(entries: dict, drop: Iterable[int], out: dict) -> None:
+    """Max-merge into ``out`` the entries with the ground positions ``drop``
+    (in descending order) removed.
 
-    def copy(self) -> "WeightedPartitionSet":
-        return WeightedPartitionSet(self.ground, dict(self.entries))
-
-    # -- the representation-preserving operators ----------------------------
-
-    def union_into(self, other: "WeightedPartitionSet") -> None:
-        """In-place max-merge of ``other`` (same ground) into this set."""
-        if self.ground != other.ground:
-            raise PartitionError("union needs identical ground sets")
-        entries = self.entries
-        for labels, (w, tr) in other.entries.items():
-            cur = entries.get(labels)
-            if cur is None or w > cur[0]:
-                entries[labels] = (w, tr)
-
-    def insert(self, new_elements: Iterable) -> "WeightedPartitionSet":
-        """Add fresh elements, each as its own singleton block."""
-        new_elements = set(new_elements)
-        if new_elements & set(self.ground):
-            raise PartitionError("insert elements must be disjoint from the ground set")
-        ground = tuple(sorted(set(self.ground) | new_elements))
-        old_pos = {v: i for i, v in enumerate(self.ground)}
-        mapping = []  # new position -> old position or None
-        for v in ground:
-            mapping.append(old_pos.get(v))
-        out = {}
-        for labels, payload in self.entries.items():
-            remap: dict[int, int] = {}
-            new_labels = []
-            for new_i, old_i in enumerate(mapping):
-                if old_i is None:
-                    new_labels.append(new_i)
-                else:
-                    new_labels.append(remap.setdefault(labels[old_i], new_i))
-            out[tuple(new_labels)] = payload
-        return WeightedPartitionSet(ground, out)
-
-    def shift(self, delta: int, edge: Optional[int] = None) -> "WeightedPartitionSet":
-        """Add ``delta`` to all weights; optionally record a matched edge."""
-        out = {}
-        for labels, (w, tr) in self.entries.items():
-            out[labels] = (w + delta, ("e", edge, tr) if edge is not None else tr)
-        return WeightedPartitionSet(self.ground, out)
-
-    def glue(self, block: Iterable) -> "WeightedPartitionSet":
-        """Merge all elements of ``block``, a subset of the ground set, into one block."""
-        block = set(block)
-        pos = {v: i for i, v in enumerate(self.ground)}
-        if not block <= pos.keys():
-            raise PartitionError("glued block must lie inside the ground set")
-        bpos = sorted(pos[v] for v in block)
-        out = {}
-        for labels, (w, tr) in self.entries.items():
-            rep = list(labels)
-            for p in bpos[1:]:
-                _union(rep, bpos[0], p)
-            key = _canon_from_uf(rep)
-            cur = out.get(key)
-            if cur is None or w > cur[0]:
-                out[key] = (w, tr)
-        return WeightedPartitionSet(self.ground, out)
-
-    def project(self, drop: Iterable) -> "WeightedPartitionSet":
-        """Remove ``drop`` from the ground set.
-
-        An entry survives only if every dropped element shares its block with
-        a surviving element (otherwise its connectivity can never be
-        completed and the partial solution is dead).
-        """
-        drop = set(drop)
-        if not drop <= set(self.ground):
-            raise PartitionError("projected-out set must be inside the ground set")
-        keep_idx = [i for i, v in enumerate(self.ground) if v not in drop]
-        drop_idx = [i for i, v in enumerate(self.ground) if v in drop]
-        ground = tuple(self.ground[i] for i in keep_idx)
-        out = {}
-        for labels, (w, tr) in self.entries.items():
-            kept_labels = {labels[i] for i in keep_idx}
-            if any(labels[i] not in kept_labels for i in drop_idx):
-                continue  # a dropped element was alone with other dropped ones
-            remap: dict[int, int] = {}
-            new_labels = []
-            for new_i, old_i in enumerate(keep_idx):
-                new_labels.append(remap.setdefault(labels[old_i], new_i))
-            key = tuple(new_labels)
-            cur = out.get(key)
-            if cur is None or w > cur[0]:
-                out[key] = (w, tr)
-        return WeightedPartitionSet(ground, out)
-
-    def join(self, other: "WeightedPartitionSet") -> "WeightedPartitionSet":
-        """Pairwise overlay of two cells over their common ground set.
-
-        Inside an :func:`overlay_memo` block, overlays are shared across calls.
-        """
-        if self.ground != other.ground:
-            raise PartitionError("join needs identical ground sets")
-        g = len(self.ground)
-        memo = _overlay_memo if _overlay_memo is not None else {}
-        out = {}
-        for la, (wa, ta) in self.entries.items():
-            for lb, (wb, tb) in other.entries.items():
-                key = memo.get((la, lb))
-                if key is None:
-                    rep = list(la)
-                    for i in range(g):
-                        _union(rep, i, lb[i])
-                    key = memo[(la, lb)] = _canon_from_uf(rep)
-                w = wa + wb
-                cur = out.get(key)
-                if cur is None or w > cur[0]:
-                    out[key] = (w, ("j", ta, tb))
-        return WeightedPartitionSet(self.ground, out)
-
-    # -- queries -------------------------------------------------------------
-
-    def best(self) -> Optional[tuple]:
-        """The maximum-weight entry as ``(weight, labels, trace)``, or None."""
-        best = None
-        for labels, (w, tr) in self.entries.items():
-            if best is None or w > best[0] or (w == best[0] and labels < best[1]):
-                best = (w, labels, tr)
-        return best
-
-    def opt(self, q: Partition) -> Optional[int]:
-        """Max weight among entries whose overlay with ``q`` is one block."""
-        if q.ground != self.ground:
-            raise PartitionError("opt query needs the cell's ground set")
-        g = len(self.ground)
-        best = None
-        for labels, (w, _) in self.entries.items():
-            rep = list(labels)
-            for i in range(g):
-                _union(rep, i, q.labels[i])
-            roots = {_find(rep, i) for i in range(g)}
-            if len(roots) == 1 and (best is None or w > best):
-                best = w
-        return best
-
-    # -- the representative-set reduction -------------------------------------
-
-    def reduce(self) -> "WeightedPartitionSet":
-        """Keep a max-weight-first GF(2) row basis of the cut-consistency matrix.
-
-        The result is a subset of the entries, has at most ``2^(|ground|-1)``
-        of them, and preserves ``opt(q, .)`` for every partition ``q`` of the
-        ground set. Cells already within the bound are returned unchanged.
-        """
-        g = len(self.ground)
-        if g == 0 or len(self.entries) <= (1 << (g - 1)):
-            return self
-        rows = sorted(self.entries.items(), key=lambda kv: (-kv[1][0], kv[0]))
-        basis: dict[int, int] = {}
-        kept = {}
-        for labels, payload in rows:
-            vec = _cut_vector(labels, g)
-            cur = vec
-            while cur:
-                pivot = cur.bit_length() - 1
-                other = basis.get(pivot)
-                if other is None:
-                    basis[pivot] = cur
-                    kept[labels] = payload
+    An entry survives only if every dropped element shares its block with a
+    kept element (otherwise its connectivity can never be completed and the
+    partial solution is dead).
+    """
+    for labels, payload in entries.items():
+        for q in drop:
+            rest = labels[:q] + labels[q + 1 :]
+            if labels[q] == q:
+                # q heads its block: its next member, if any, heads it now
+                try:
+                    head = labels.index(q, q + 1) - 1
+                except ValueError:
                     break
-                cur ^= other
-        assert len(kept) <= 1 << (g - 1)
-        return WeightedPartitionSet(self.ground, kept)
+                labels = tuple([head if lab == q else lab - (lab > q) for lab in rest])
+            else:
+                labels = tuple([lab - (lab > q) for lab in rest])
+        else:
+            cur = out.get(labels)
+            if cur is None or payload[0] > cur[0]:
+                out[labels] = payload
+
+
+def join_entries(a: dict, b: dict, out: dict) -> None:
+    """Max-merge into ``out`` the overlay of every pair of entries of ``a``
+    and ``b`` (one ground set), with added weights and a join trace.
+
+    Inside an :func:`overlay_memo` block, overlays are shared across calls.
+    """
+    memo = _overlay_memo if _overlay_memo is not None else {}
+    for la, (wa, ta) in a.items():
+        for lb, (wb, tb) in b.items():
+            key = memo.get((la, lb))
+            if key is None:
+                key = memo[(la, lb)] = _overlay(la, lb)
+            w = wa + wb
+            cur = out.get(key)
+            if cur is None or w > cur[0]:
+                out[key] = (w, ("j", ta, tb))
+
+
+def reduce_entries(entries: dict, g: int) -> dict:
+    """Keep a max-weight-first GF(2) row basis of the cut-consistency matrix.
+
+    ``g`` is the ground size. The result is a subset of the entries, has at
+    most ``2^(g-1)`` of them, and preserves ``opt(q, .)`` for every partition
+    ``q`` of the ground set. A cell already within the bound is returned
+    itself.
+    """
+    if g == 0 or len(entries) <= (1 << (g - 1)):
+        return entries
+    rows = sorted(entries.items(), key=lambda kv: (-kv[1][0], kv[0]))
+    basis: dict[int, int] = {}
+    kept = {}
+    for labels, payload in rows:
+        cur = _cut_vector(labels, g)
+        while cur:
+            pivot = cur.bit_length() - 1
+            other = basis.get(pivot)
+            if other is None:
+                basis[pivot] = cur
+                kept[labels] = payload
+                break
+            cur ^= other
+    assert len(kept) <= 1 << (g - 1)
+    return kept
 
 
 def _cut_vector(labels: tuple, g: int) -> int:
@@ -364,3 +265,101 @@ def _cut_vector(labels: tuple, g: int) -> int:
     for s in subsets:
         vec |= 1 << s
     return vec
+
+
+# ---------------------------------------------------------------------------
+# weighted partition sets
+
+
+class WeightedPartitionSet:
+    """Partitions of one ground set, each with its best weight and trace."""
+
+    __slots__ = ("ground", "entries")
+
+    def __init__(self, ground: tuple, entries: Optional[dict] = None):
+        self.ground = tuple(ground)
+        self.entries: dict = entries if entries is not None else {}
+
+    @staticmethod
+    def from_weighted(ground, pairs) -> "WeightedPartitionSet":
+        """rmc over raw (labels, weight) pairs: keep the max per partition.
+
+        ``ground`` must be strictly sorted, and each raw labelling must name a
+        ground position for every element; it is canonicalized.
+        """
+        ground = tuple(ground)
+        if tuple(sorted(set(ground))) != ground:
+            raise PartitionError("ground set must be strictly sorted")
+        g = len(ground)
+        entries: dict = {}
+        for labels, weight in pairs:
+            if len(labels) != g or not all(0 <= lab < g for lab in labels):
+                raise PartitionError("labels must give a ground position for each element")
+            labels = _overlay(range(g), labels)
+            cur = entries.get(labels)
+            if cur is None or weight > cur[0]:
+                entries[labels] = (weight, None)
+        return WeightedPartitionSet(ground, entries)
+
+    def __len__(self):
+        return len(self.entries)
+
+    def union_into(self, other: "WeightedPartitionSet") -> None:
+        """In-place max-merge of ``other`` (same ground) into this set."""
+        if self.ground != other.ground:
+            raise PartitionError("union needs identical ground sets")
+        merge_entries(self.entries, other.entries)
+
+    def insert(self, new_elements: Iterable) -> "WeightedPartitionSet":
+        """Add fresh elements, each as its own singleton block."""
+        new_elements = set(new_elements)
+        if new_elements & set(self.ground):
+            raise PartitionError("insert elements must be disjoint from the ground set")
+        ground = tuple(sorted(set(self.ground) | new_elements))
+        entries = dict(self.entries)
+        for q, v in enumerate(ground):
+            if v in new_elements:
+                entries = insert_entries(entries, q)
+        return WeightedPartitionSet(ground, entries)
+
+    def glue(self, block: Iterable) -> "WeightedPartitionSet":
+        """Merge all elements of ``block``, a subset of the ground set, into one block."""
+        block = set(block)
+        pos = {v: i for i, v in enumerate(self.ground)}
+        if not block <= pos.keys():
+            raise PartitionError("glued block must lie inside the ground set")
+        return WeightedPartitionSet(self.ground, glue_entries(self.entries, [pos[v] for v in block]))
+
+    def project(self, drop: Iterable) -> "WeightedPartitionSet":
+        """Remove ``drop`` from the ground set (see :func:`project_entries`)."""
+        drop = set(drop)
+        if not drop <= set(self.ground):
+            raise PartitionError("projected-out set must be inside the ground set")
+        positions = [i for i, v in enumerate(self.ground) if v in drop]
+        out: dict = {}
+        project_entries(self.entries, positions[::-1], out)
+        return WeightedPartitionSet(tuple(v for v in self.ground if v not in drop), out)
+
+    def join(self, other: "WeightedPartitionSet") -> "WeightedPartitionSet":
+        """Pairwise overlay of two cells over their common ground set."""
+        if self.ground != other.ground:
+            raise PartitionError("join needs identical ground sets")
+        out: dict = {}
+        join_entries(self.entries, other.entries, out)
+        return WeightedPartitionSet(self.ground, out)
+
+    def opt(self, q: Partition) -> Optional[int]:
+        """Max weight among entries whose overlay with ``q`` is one block."""
+        if q.ground != self.ground:
+            raise PartitionError("opt query needs the cell's ground set")
+        best = None
+        for labels, (w, _) in self.entries.items():
+            if len(set(_overlay(labels, q.labels))) == 1 and (best is None or w > best):
+                best = w
+        return best
+
+    def reduce(self) -> "WeightedPartitionSet":
+        """The representative-set reduction (see :func:`reduce_entries`);
+        a cell already within the bound is returned itself."""
+        kept = reduce_entries(self.entries, len(self.ground))
+        return self if kept is self.entries else WeightedPartitionSet(self.ground, kept)

@@ -1,16 +1,20 @@
 """Single-exponential maximum weight connected matching via dynamic
 programming over a nice tree decomposition with rank-based table pruning.
 
-Each node ``x`` keeps a table mapping ``(S, U)`` (matched bag vertices,
-half-matched bag vertices, disjoint) to a :class:`WeightedPartitionSet` over
-ground set ``S | U``: the partition tracks which selected bag vertices are
-already connected through the partial solution below ``x``; the weight is
-the matched weight so far. Transitions:
+Each node ``x`` keeps one plain dict as its table. A cell is keyed by
+``(S, U)``, the matched and the half-matched bag vertices (disjoint), each a
+bitmask over positions in the node's sorted bag. Its value is an entry dict
+of :mod:`connmatch.partitions` over the ground set ``S | U`` in bag order:
+each partition tracks which selected bag vertices are already connected
+through the partial solution below ``x``, with the best matched weight so
+far. Transitions:
 
 * introduce ``v``: either skip ``v``; commit it half-matched (gluing its
   block to all already-selected bag neighbors, since any edge between two
   saturated vertices is part of the induced subgraph); or match it to a
-  half-matched bag neighbor ``u``, paying the edge weight.
+  half-matched bag neighbor ``u``, paying the edge weight. ``u`` is one of
+  the glued neighbors, so both cells share one glued entry dict, built once
+  per child cell; mates are visited in bag order.
 * forget ``v``: solutions with ``v`` unused pass through; solutions with
   ``v`` matched survive only if ``v``'s block keeps another bag contact
   (project); half-matched vertices must not be forgotten, so those entries
@@ -18,10 +22,13 @@ the matched weight so far. Transitions:
 * join: combine children cells whose matched sets partition ``S``, with the
   other side's matched vertices counted half-matched, overlaying partitions
   and adding weights. A left cell ``(Sy, Uy)`` combines only with right
-  cells ``(Sz, Sy | (Uy - Sz))`` for ``Sz`` a subset of ``Uy``, so each left
+  cells ``(Sz, Sy | (Uy - Sz))`` for ``Sz`` a submask of ``Uy``, so each left
   cell looks up its at most ``2^|Uy|`` partners instead of scanning the
   right table; partners are visited in right-table order, so cells are
   built exactly as a scan over all pairs would build them.
+
+A child table is dropped once its parent is built, so a cell that passes
+through unchanged keeps its child's entry dict instead of copying it.
 
 A completed connected matching surfaces exactly where its last saturated
 vertex ``v`` is forgotten: the child cell ``({v}, {})`` holds it as a
@@ -34,30 +41,136 @@ from __future__ import annotations
 from typing import Optional
 
 from .graphs import GraphError, Matching, WeightedGraph, is_connected
-from .partitions import WeightedPartitionSet, overlay_memo, trace_edges
-from .treedecomp import NiceTreeDecomposition, TreeDecomposition, make_nice, validate_td
+from .partitions import (
+    glue_entries,
+    insert_entries,
+    join_entries,
+    merge_entries,
+    overlay_memo,
+    project_entries,
+    reduce_entries,
+    trace_edges,
+)
+from .treedecomp import NiceNode, NiceTreeDecomposition, TreeDecomposition, make_nice, validate_td
 
-Cell = tuple[frozenset, frozenset]
-
-
-def _reduce_cell(wps: WeightedPartitionSet, use_reduce: bool) -> WeightedPartitionSet:
-    return wps.reduce() if use_reduce else wps
-
-
-def _accumulate(table: dict, cell: Cell, wps: WeightedPartitionSet) -> None:
-    cur = table.get(cell)
-    if cur is None:
-        table[cell] = wps.copy()
-    else:
-        cur.union_into(wps)
+# the join reduces a cell as it grows once it holds this many times the bound
+JOIN_SLACK = 4
 
 
-def _splits(u: frozenset) -> list[tuple[frozenset, frozenset]]:
-    """Every ``(sz, u - sz)`` with ``sz`` a subset of ``u``."""
-    subsets = [frozenset()]
-    for v in u:
-        subsets += [sz | {v} for sz in subsets]
-    return [(sz, u - sz) for sz in subsets]
+def _below(bag, v: int) -> int:
+    """The position ``v`` has, or would have, in the sorted ``bag``."""
+    return sum(1 for u in bag if u < v)
+
+
+def _introduce(g: WeightedGraph, node: NiceNode, child: dict) -> dict:
+    v = node.vertex
+    bag_rank = {u: i for i, u in enumerate(sorted(node.bag))}
+    bit = 1 << bag_rank[v]
+    low = bit - 1
+    # v's bag neighbours: position bit -> (edge id, weight)
+    edge_at = {}
+    for eid in g.adj[v]:
+        r = bag_rank.get(g.other(eid, v))
+        if r is not None:
+            edge_at[1 << r] = (eid, g.weight(eid))
+    nbrs = sum(edge_at)  # distinct bits, so the sum is their union
+
+    table: dict = {}
+    for (s, u), entries in child.items():
+        s = (s & low) | ((s & ~low) << 1)
+        u = (u & low) | ((u & ~low) << 1)
+        table[(s, u)] = entries  # v stays unused
+        sel = s | u
+        q = (sel & low).bit_count()
+        half = insert_entries(entries, q)
+        links = sel & nbrs
+        if links:
+            sel |= bit
+            block = [q]
+            while links:
+                r = links & -links
+                links ^= r
+                block.append((sel & (r - 1)).bit_count())
+            half = glue_entries(half, block)
+        table[(s, u | bit)] = half
+        mates = u & nbrs
+        while mates:
+            r = mates & -mates
+            mates ^= r
+            eid, ew = edge_at[r]
+            cell = (s | bit | r, u ^ r)
+            out = table.get(cell)
+            if out is None:
+                out = table[cell] = {}
+            for labels, (w, tr) in half.items():
+                w += ew
+                cur = out.get(labels)
+                if cur is None or w > cur[0]:
+                    out[labels] = (w, ("e", eid, tr))
+    return table
+
+
+def _forget(node: NiceNode, child: dict) -> dict:
+    p = _below(node.bag, node.vertex)
+    bit = 1 << p
+    low = bit - 1
+    table: dict = {}
+    for (s, u), entries in child.items():
+        if u & bit:
+            continue  # half-matched vertices must not be forgotten
+        cell = ((s & low) | ((s >> 1) & ~low), (u & low) | ((u >> 1) & ~low))
+        out = table.get(cell)
+        if s & bit:
+            q = ((s | u) & low).bit_count()  # v's ground position
+            if out is None:
+                out = {}
+            project_entries(entries, (q,), out)
+            if out:  # a cell only when some entry survives
+                table[cell] = out
+        elif out is None:
+            table[cell] = entries
+        else:
+            merge_entries(out, entries)
+    return table
+
+
+def _splits(u: int) -> list[tuple[int, int]]:
+    """Every ``(sz, u - sz)`` with ``sz`` a submask of ``u``."""
+    out = []
+    sz = u
+    while True:
+        out.append((sz, u ^ sz))
+        if not sz:
+            return out
+        sz = (sz - 1) & u
+
+
+def _join(left: dict, right: dict, use_reduce: bool) -> dict:
+    right_pos = {cell: i for i, cell in enumerate(right)}
+    right_entries = list(right.values())
+    splits: dict = {}
+    table: dict = {}
+    for (sy, uy), a in left.items():
+        by_u = splits.get(uy)
+        if by_u is None:
+            by_u = splits[uy] = _splits(uy)
+        partners = []
+        for sz, shared in by_u:
+            i = right_pos.get((sz, sy | shared))
+            if i is not None:
+                partners.append((i, sz | sy, shared))
+        partners.sort()  # right-table positions are unique
+        for i, s, shared in partners:
+            cell = (s, shared)
+            out = table.get(cell)
+            if out is None:
+                out = table[cell] = {}
+            join_entries(a, right_entries[i], out)
+            if use_reduce and len(out) > JOIN_SLACK:
+                ground = (s | shared).bit_count()
+                if len(out) > JOIN_SLACK << max(ground - 1, 0):
+                    table[cell] = reduce_entries(out, ground)
+    return table
 
 
 def _node_table(
@@ -69,70 +182,23 @@ def _node_table(
 ) -> dict:
     node = nd.nodes[x]
     kind = node.kind
-    table: dict = {}
-
     if kind == "leaf":
-        empty: frozenset = frozenset()
-        table[(empty, empty)] = WeightedPartitionSet.empty_partition_unit()
-        return table
-
+        return {(0, 0): {(): (0, None)}}
     if kind == "introduce":
-        (child,) = child_tables
-        v = node.vertex
-        nbrs_v = set(g.neighbors(v))
-        for (s, u), wps in child.items():
-            _accumulate(table, (s, u), wps)  # v stays unused
-            selected = s | u
-            links = nbrs_v & selected
-            inserted = wps.insert([v])
-            half = inserted.glue({v} | links)
-            _accumulate(table, (s, u | {v}), half)
-            for mate in u & nbrs_v:
-                eid = g.edge_id(v, mate)
-                merged = inserted.glue({v, mate} | links)
-                matched = merged.shift(g.weight(eid), edge=eid)
-                _accumulate(table, (s | {v, mate}, u - {mate}), matched)
-        return {cell: _reduce_cell(wps, use_reduce) for cell, wps in table.items()}
-
-    if kind == "forget":
-        (child,) = child_tables
-        v = node.vertex
-        for (s, u), wps in child.items():
-            if v in u:
-                continue  # half-matched vertices must not be forgotten
-            if v in s:
-                projected = wps.project({v})
-                if projected.entries:
-                    _accumulate(table, (s - {v}, u), projected)
-            else:
-                _accumulate(table, (s, u), wps)
-        return {cell: _reduce_cell(wps, use_reduce) for cell, wps in table.items()}
-
-    if kind == "join":
-        left, right = child_tables
-        bound_factor = 4
-        right_pos = {cell: i for i, cell in enumerate(right)}
-        splits: dict = {}
-        for (sy, uy), a in left.items():
-            by_u = splits.get(uy)
-            if by_u is None:
-                by_u = splits[uy] = _splits(uy)
-            partners = []
-            for sz, shared in by_u:
-                partner = (sz, sy | shared)
-                i = right_pos.get(partner)
-                if i is not None:
-                    partners.append((i, sz, shared, partner))
-            partners.sort()  # right-table positions are unique
-            for _, sz, shared, partner in partners:
-                cell = (sy | sz, shared)
-                _accumulate(table, cell, a.join(right[partner]))
-                wps = table[cell]
-                if use_reduce and len(wps) > bound_factor * (1 << max(len(wps.ground) - 1, 0)):
-                    table[cell] = wps.reduce()
-        return {cell: _reduce_cell(wps, use_reduce) for cell, wps in table.items()}
-
-    raise AssertionError(f"unknown node kind {kind!r}")
+        table = _introduce(g, node, child_tables[0])
+    elif kind == "forget":
+        table = _forget(node, child_tables[0])
+    elif kind == "join":
+        table = _join(child_tables[0], child_tables[1], use_reduce)
+    else:
+        raise AssertionError(f"unknown node kind {kind!r}")
+    if use_reduce:
+        for (s, u), entries in table.items():
+            if len(entries) > 1:
+                ground = (s | u).bit_count()
+                if len(entries) > 1 << (ground - 1):
+                    table[(s, u)] = reduce_entries(entries, ground)
+    return table
 
 
 def _run_dp(
@@ -152,11 +218,11 @@ def _run_dp(
         node = nd.nodes[x]
         kids = node.children
         if node.kind == "forget":
-            cell = tables[kids[0]].get((frozenset([node.vertex]), frozenset()))
+            cell = tables[kids[0]].get((1 << _below(node.bag, node.vertex), 0))
             if cell is not None:
-                top = cell.best()
-                if top is not None and (best is None or top[0] > best[0]):
-                    best = (top[0], top[2])
+                top = cell[(0,)]  # the only partition of a one-element ground
+                if best is None or top[0] > best[0]:
+                    best = top
         child_tabs = [tables[c] for c in kids]
         tables[x] = _node_table(g, nd, x, child_tabs, use_reduce)
         for c in kids:

@@ -184,8 +184,8 @@ def test_criterion_4_reduce_correctness():
             for x in nd.postorder():
                 kids = nd.nodes[x].children
                 tables[x] = _node_table(g, nd, x, [tables[c] for c in kids], True)
-                for wps in tables[x].values():
-                    assert len(wps) <= 1 << max(len(wps.ground) - 1, 0)
+                for (s, u), entries in tables[x].items():
+                    assert len(entries) <= 1 << max((s | u).bit_count() - 1, 0)
                 for c in kids:
                     del tables[c]
 

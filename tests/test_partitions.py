@@ -47,7 +47,7 @@ class TestOperators:
         labels = P("ab", "ab").labels
         wps = WeightedPartitionSet.from_weighted("ab", [(labels, 3), (labels, 5)])
         assert len(wps) == 1
-        assert wps.best()[0] == 5
+        assert wps.entries[labels][0] == 5
 
     def test_rmc_distinct_unchanged(self):
         wps = WeightedPartitionSet.from_weighted(
@@ -59,7 +59,7 @@ class TestOperators:
         wps = WeightedPartitionSet.from_weighted("ab", [(P("ab", "a", "b").labels, 4)])
         glued = wps.glue("ab")
         assert list(glued.entries) == [P("ab", "ab").labels]
-        assert glued.best()[0] == 4
+        assert glued.entries[P("ab", "ab").labels][0] == 4
 
     def test_project_kills_isolated_blocks(self):
         wps = WeightedPartitionSet.from_weighted("ab", [(P("ab", "a", "b").labels, 4)])
@@ -77,7 +77,7 @@ class TestOperators:
         joined = a.join(b)
         assert joined.ground == ("a", "b", "c")
         assert list(joined.entries) == [P("abc", "abc").labels]
-        assert joined.best()[0] == 5
+        assert joined.entries[P("abc", "abc").labels][0] == 5
 
     def test_join_ground_mismatch_rejected(self):
         a = WeightedPartitionSet.from_weighted("ab", [(P("ab", "ab").labels, 2)])
@@ -95,12 +95,23 @@ class TestOperators:
         with pytest.raises(PartitionError):
             wps.insert("b")
 
-    def test_shift_records_edges(self):
-        wps = WeightedPartitionSet.from_weighted("ab", [(P("ab", "ab").labels, 1)])
-        shifted = wps.shift(5, edge=17).shift(2, edge=3)
-        w, _, tr = shifted.best()
-        assert w == 8
-        assert sorted(trace_edges(tr)) == [3, 17]
+    def test_trace_edges_reads_edge_and_join_traces(self):
+        # two edges taken on one side of a join, one on the other
+        tr = ("j", ("e", 3, ("e", 17, None)), ("e", 5, None))
+        assert sorted(trace_edges(tr)) == [3, 5, 17]
+        assert trace_edges(None) == []
+
+    def test_bad_grounds_and_labels_rejected(self):
+        # an unsorted ground must not be sorted silently: (0, 0, 2) pairs
+        # 3 with 1 over (3, 1, 2), but 1 with 2 over (1, 2, 3)
+        for ground in ((3, 1, 2), (1, 1, 2)):
+            with pytest.raises(PartitionError):
+                WeightedPartitionSet.from_weighted(ground, [((0, 0, 2), 1)])
+        for labels in ((0, 0), (0, 0, 2, 3), (0, 3, 2), (0, -1, 2)):
+            with pytest.raises(PartitionError):
+                WeightedPartitionSet.from_weighted((1, 2, 3), [(labels, 1)])
+            with pytest.raises(PartitionError):
+                Partition((1, 2, 3), labels)
 
     def test_union_max_merges(self):
         a = WeightedPartitionSet.from_weighted("ab", [(P("ab", "ab").labels, 2)])

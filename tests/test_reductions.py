@@ -22,6 +22,7 @@ from connmatch.reductions import (
     steiner_parameters,
     wcs_blocking_weight,
 )
+from connmatch.treewidth_solver import solve_treewidth
 
 REFERENCE_FORMULA = Cnf.build(5, [(1, -2, -4), (1, -3, 5), (-1, -2, 4), (2, 3, 5)])
 REFERENCE_MONOTONE = Cnf.build(5, [(1, 2, 5), (2, 3, 4), (-2, -4, -5)])
@@ -333,6 +334,30 @@ class TestHardnessEquivalence:
             assert (brute_mwcm(st.graph, edge_limit=60).optimum >= st.k) == sat, (trial, f)
             b4 = gen_bip4(f)
             assert (brute_mwcm(b4.graph, edge_limit=70).optimum >= b4.k) == sat, (trial, f)
+
+    def test_round_trip_through_the_treewidth_dp(self):
+        """Past brute force: the DP's optimum reaches k exactly when the
+        formula is satisfiable, and then its witness projects to a satisfying
+        assignment. Formulas are drawn until each family has a satisfiable
+        and an unsatisfiable one."""
+        rng = random.Random(2022)
+        # (generator, variables, clause-count range); bip4 is the slow one
+        families = [
+            (gen_starlike, 3, 4, 12),
+            (gen_starlike, 3, 4, 12),
+            (gen_starlike, 4, 4, 14),
+            (gen_bip4, 3, 4, 6),
+        ]
+        for gen, nvars, lo, hi in families:
+            for sat in (True, False):
+                f = rand_3sat(rng, nvars, rng.randint(lo, hi))
+                while (satisfiable(f) is not None) != sat:
+                    f = rand_3sat(rng, nvars, rng.randint(lo, hi))
+                inst = gen(f)
+                w, m = solve_treewidth(inst.graph)
+                assert (w >= inst.k) == sat, (gen.__name__, f)
+                if sat:
+                    assert f.satisfied_by(project_certificate(inst, m)), (gen.__name__, f)
 
     def test_planar_bipartite(self):
         rng = random.Random(4321)

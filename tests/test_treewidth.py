@@ -4,7 +4,7 @@ import pytest
 
 from connmatch.graphs import GraphError, WeightedGraph, induced_by_matching_connected
 from connmatch.oracle import brute_mwcm
-from connmatch import partitions
+from connmatch import partitions, treewidth_solver
 from connmatch.partitions import WeightedPartitionSet, overlay_memo
 from connmatch.treedecomp import TreeDecomposition, heuristic_td, make_nice
 from connmatch.treewidth_solver import _node_table, solve_treewidth
@@ -101,9 +101,9 @@ def _tables_per_node(g, nd, use_reduce):
         kids = nd.nodes[x].children
         tables[x] = _node_table(g, nd, x, [tables[c] for c in kids], use_reduce)
         snapshot[x] = {
-            cell: max(w for w, _ in wps.entries.values())
-            for cell, wps in tables[x].items()
-            if wps.entries
+            cell: max(w for w, _ in entries.values())
+            for cell, entries in tables[x].items()
+            if entries
         }
         for c in kids:
             del tables[c]
@@ -135,11 +135,13 @@ class TestReduceSoundness:
             for x in nd.postorder():
                 kids = nd.nodes[x].children
                 tables[x] = _node_table(g, nd, x, [tables[c] for c in kids], True)
-                for (s, u), wps in tables[x].items():
-                    # join and glue need every cell's ground to be sorted S | U
-                    assert wps.ground == tuple(sorted(s | u))
-                    ground = len(wps.ground)
-                    assert len(wps) <= 1 << max(ground - 1, 0)
+                for (s, u), entries in tables[x].items():
+                    # join and glue need every label tuple to cover the
+                    # ground S | U, in bag order
+                    assert not s & u
+                    ground = (s | u).bit_count()
+                    assert all(len(labels) == ground for labels in entries)
+                    assert len(entries) <= 1 << max(ground - 1, 0)
                 for c in kids:
                     del tables[c]
 
@@ -160,29 +162,23 @@ def _reference_join(left, right):
         for (sz, uz), b in right.items():
             if sy & sz:
                 continue
-            shared = uy - sz
-            if shared != uz - sy or not (sz <= uy) or not (sy <= uz):
+            shared = uy & ~sz
+            if shared != uz & ~sy or sz & ~uy or sy & ~uz:
                 continue
-            cell = (sy | sz, shared)
-            joined = a.join(b)
-            cur = table.get(cell)
-            if cur is None:
-                table[cell] = joined
-            else:
-                cur.union_into(joined)
+            treewidth_solver.join_entries(a, b, table.setdefault((sy | sz, shared), {}))
     return table
 
 
 class TestJoinLookup:
     def test_matches_all_pairs_scan(self, monkeypatch):
         calls = {"n": 0}
-        original = WeightedPartitionSet.join
+        original = treewidth_solver.join_entries
 
-        def counted(self, other):
+        def counted(a, b, out):
             calls["n"] += 1
-            return original(self, other)
+            original(a, b, out)
 
-        monkeypatch.setattr(WeightedPartitionSet, "join", counted)
+        monkeypatch.setattr(treewidth_solver, "join_entries", counted)
         rng = random.Random(4242)
         joins = 0
         for _ in range(60):
@@ -201,9 +197,8 @@ class TestJoinLookup:
                     tables[x] = _node_table(g, nd, x, child_tabs, False)
                     assert calls["n"] - mid == mid - before
                     assert list(tables[x]) == list(ref)
-                    for cell, wps in tables[x].items():
-                        assert wps.ground == ref[cell].ground
-                        assert wps.entries == ref[cell].entries
+                    for cell, entries in tables[x].items():
+                        assert list(entries.items()) == list(ref[cell].items())
                 else:
                     tables[x] = _node_table(g, nd, x, child_tabs, False)
                 for c in kids:
