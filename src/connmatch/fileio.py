@@ -17,14 +17,16 @@ Parsers report the offending line number; writers emit canonical output
 (sorted edge lists) so a parse/write round trip is byte-stable.
 
 Graphs and certificates laid out exactly as the writers lay them out take
-a bulk path. One numpy tokenizer serves both: it works on the bytes of an
-ASCII text (any other text falls back at once), takes the positions of the space and ``\n`` bytes, checks from them that
-every row is ``e <u> <v> <w>`` (after the ``p wcm <n> <m>`` header) or
-``m <u> <v>`` with single spaces and a ``\n`` after each row (optional after
-the last), then parses every token at once by Horner steps over its digit
-positions. A token is taken only in the ASCII form ``-?[0-9]{1,19}`` and
-within the signed 64-bit range; magnitudes add up in uint64, so -2**63
-parses too.
+a bulk path. ``parse_graph`` and ``parse_certificate`` hand it the file's
+bytes, and decode them only when the line scanner has to read the text.
+One numpy tokenizer serves both: it works on the bytes of an ASCII text
+(any other text falls back at once), takes the positions of the space and
+``\n`` bytes, checks from them that every row is ``e <u> <v> <w>`` (after
+the ``p wcm <n> <m>`` header) or ``m <u> <v>`` with single spaces and a
+``\n`` after each row (optional after the last), then parses every token
+at once by Horner steps over its digit positions. A token is taken only in
+the ASCII form ``-?[0-9]{1,19}`` and within the signed 64-bit range;
+magnitudes add up in uint64, so -2**63 parses too.
 
 A graph is then built straight from the int64 columns
 (:meth:`WeightedGraph.from_columns`). A certificate must not list an edge
@@ -39,7 +41,7 @@ range, a vertex listed twice, a pair that is not an edge, a certificate for
 a graph with isolated vertices) the line scanner reads the text instead. It
 gives the same graph or matching, or the same error with its line number.
 The certificate writer sorts the matched edges on the endpoint arrays and
-formats them in one ``join``.
+writes the digits of all of them into one byte buffer.
 """
 
 from __future__ import annotations
@@ -74,15 +76,27 @@ def _int(tok: str, no: int, what: str = "integer") -> int:
         raise FormatError(f"line {no}: expected {what}, got {tok!r}") from None
 
 
-def read_text(path) -> str:
-    """The file's text; bytes that are not UTF-8 raise :class:`FormatError`
-    naming the line they sit on."""
-    data = Path(path).read_bytes()
+def _decode(data: bytes) -> str:
+    """``data`` as UTF-8 text; bytes that are not UTF-8 raise
+    :class:`FormatError` naming the line they sit on."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise FormatError(f"line {line}: file is not valid UTF-8") from None
+
+
+def read_text(path) -> str:
+    """The file's text; bytes that are not UTF-8 raise :class:`FormatError`
+    naming the line they sit on."""
+    return _decode(Path(path).read_bytes())
+
+
+def _ascii_bytes(text):
+    """The bytes of an ASCII ``str`` or ``bytes`` text, else None."""
+    if not text.isascii():
+        return None
+    return text if isinstance(text, bytes) else text.encode("ascii")
 
 
 # ---------------------------------------------------------------------------
@@ -159,12 +173,13 @@ def _header_int(tok: bytes):
     return int(tok) if 0 < len(digits) <= 19 and digits.isdigit() else None
 
 
-def _parse_graph_bulk(text: str):
-    """The graph of a valid ``.gr`` text in the writer's layout; None for
-    any other text, which the line scanner then reads or rejects."""
-    if not (text.isascii() and text.startswith("p wcm ")):
+def _parse_graph_bulk(text):
+    """The graph of a valid ``.gr`` text (``str`` or ``bytes``) in the
+    writer's layout; None for any other text, which the line scanner then
+    reads or rejects."""
+    data = _ascii_bytes(text)
+    if data is None or not data.startswith(b"p wcm "):
         return None
-    data = text.encode("ascii")
     nl = data.find(b"\n")
     if nl < 0:
         nl = len(data)
@@ -172,7 +187,7 @@ def _parse_graph_bulk(text: str):
     if len(head) != 2:
         return None
     n, m = map(_header_int, head)
-    if n is None or m is None:
+    if n is None or m is None or n < 0 or m < 0:
         return None
     rows = _int_rows(data, min(nl + 1, len(data)), b"e", 3)
     if rows is None or len(rows) != m:
@@ -194,6 +209,10 @@ def _parse_graph_lines(text: str) -> WeightedGraph:
             if len(toks) != 4 or toks[1] != "wcm":
                 raise FormatError(f"line {no}: expected 'p wcm <n> <m>'")
             n, m = _int(toks[2], no), _int(toks[3], no)
+            if n < 0:
+                raise FormatError(f"line {no}: vertex count must be non-negative")
+            if m < 0:
+                raise FormatError(f"line {no}: edge count must be non-negative")
         elif toks[0] == "e":
             if n is None:
                 raise FormatError(f"line {no}: edge before header")
@@ -221,7 +240,9 @@ def _parse_graph_lines(text: str) -> WeightedGraph:
 
 
 def parse_graph(path) -> WeightedGraph:
-    return parse_graph_text(read_text(path))
+    data = Path(path).read_bytes()
+    g = _parse_graph_bulk(data)
+    return g if g is not None else _parse_graph_lines(_decode(data))
 
 
 def write_graph_text(g: WeightedGraph) -> str:
@@ -510,16 +531,18 @@ def parse_certificate_text(text: str, g: WeightedGraph) -> Matching:
     return m if m is not None else _parse_certificate_lines(text, g)
 
 
-def _parse_certificate_bulk(text: str, g: WeightedGraph):
-    """The matching of a valid certificate in the writer's layout; None for
-    any other text, which the line scanner then reads or rejects."""
+def _parse_certificate_bulk(text, g: WeightedGraph):
+    """The matching of a valid certificate (``str`` or ``bytes``) in the
+    writer's layout; None for any other text, which the line scanner then
+    reads or rejects."""
     n = g.n
     # The partner table below has one entry per vertex. A graph with more
     # vertices than edge endpoints has isolated ones, maybe very many, and is
     # left to the line scanner, so the table is never larger than the graph.
-    if n > 2 * g.m or not text.isascii():
+    data = _ascii_bytes(text)
+    if n > 2 * g.m or data is None:
         return None
-    pairs = _int_rows(text.encode("ascii"), 0, b"m", 2)
+    pairs = _int_rows(data, 0, b"m", 2)
     if pairs is None:
         return None
     if not pairs.size:
@@ -544,7 +567,7 @@ def _parse_certificate_bulk(text: str, g: WeightedGraph):
     eids = np.flatnonzero(partner[lo] == hi)
     if eids.size != u.size:  # a pair that is not an edge
         return None
-    return Matching(g, eids.tolist())
+    return Matching(g, eids)
 
 
 def _parse_certificate_lines(text: str, g: WeightedGraph) -> Matching:
@@ -571,26 +594,59 @@ def _parse_certificate_lines(text: str, g: WeightedGraph) -> Matching:
 
 
 def parse_certificate(path, g: WeightedGraph) -> Matching:
-    return parse_certificate_text(read_text(path), g)
+    data = Path(path).read_bytes()
+    m = _parse_certificate_bulk(data, g)
+    return m if m is not None else _parse_certificate_lines(_decode(data), g)
+
+
+def _certificate_bytes(m: Matching) -> bytes:
+    """One ``m <u> <v>`` line per edge (``u < v``), in increasing order of
+    ``u``; the ``u`` of a matching's edges are distinct, so that is the
+    order of the pairs.
+
+    The lines are laid out in one byte buffer: each id's digit count comes
+    from comparisons with the powers of ten, which fixes every line's
+    length and offset, then one pass per digit position writes that digit
+    of every id wide enough to have it."""
+    if not len(m):
+        return b""
+    import numpy as np
+
+    lo, hi = m.graph.endpoint_arrays()
+    ids = m.edge_id_array()
+    us = lo[ids]
+    order = np.argsort(us)
+    cols = (us[order] + 1, hi[ids][order] + 1)
+    powers = 10 ** np.arange(1, 19, dtype=np.int64)
+    widths = [np.searchsorted(powers, c, side="right") + 1 for c in cols]
+    # "m", then " <digits>" per column, then "\n"
+    lens = widths[0] + widths[1] + 4
+    ends = np.cumsum(lens)
+    buf = np.full(int(ends[-1]), ord(" "), dtype=np.uint8)
+    buf[ends - lens] = ord("m")
+    buf[ends - 1] = ord("\n")
+    # the position of each column's last digit
+    lasts = (ends - 3 - widths[1], ends - 2)
+    for c, width, last in zip(cols, widths, lasts):
+        for d in range(int(width.max())):
+            digit = (c % 10).astype(np.uint8) + ord("0")
+            if d < width.min():
+                buf[last - d] = digit
+            else:
+                wide = width > d
+                buf[last[wide] - d] = digit[wide]
+            c //= 10
+    return buf.tobytes()
 
 
 def write_certificate_text(m: Matching) -> str:
     """One ``m <u> <v>`` line per edge (``u < v``), in increasing order of
-    ``u``; the ``u`` of a matching's edges are distinct, so that is the
-    order of the pairs."""
-    if not m.edge_ids:
-        return ""
-    import numpy as np
-
-    lo, hi = m.graph.endpoint_arrays()
-    ids = np.array(m.edge_ids, dtype=np.int64)
-    us, vs = lo[ids], hi[ids]
-    order = np.argsort(us)
-    return "".join(map("m {} {}\n".format, (us[order] + 1).tolist(), (vs[order] + 1).tolist()))
+    ``u``."""
+    return _certificate_bytes(m).decode("ascii")
 
 
 def write_certificate(m: Matching, path) -> None:
-    Path(path).write_text(write_certificate_text(m), encoding="utf-8")
+    Path(path).write_bytes(_certificate_bytes(m))
 
 
 def parse_vertex_set_text(text: str, g: VertexWeightedGraph) -> frozenset:

@@ -5,18 +5,23 @@ file layer enforces the 64-bit range. All objects are immutable after
 construction and safe to share between concurrent solves.
 
 A :class:`WeightedGraph` keeps its edges as three flat columns: the
-endpoints ``lo`` and ``hi`` (``lo[e] < hi[e]``) and ``weights``.
-Construction validates the columns in bulk: range, self-loops, plain int
-values and duplicates. Columns of Python ints are checked with a set of
-exact ``lo * n + hi`` int keys. int64 numpy columns (the ``.gr`` bulk
-parser's) are checked in numpy, with one sort of the same keys in uint64;
-above n = 2**32 these wrap, and a repeated key only counts as doubt. On
-the first doubt the per-edge check reruns in edge order, so an error names
-the same edge as before. What derives from the columns is built on first
-use and cached: the ``(u, v, w)`` triples ``edges``, the adjacency lists
-``adj``, the pair index behind :meth:`WeightedGraph.edge_id` and the int64
-endpoint arrays (kept from the check when the columns came as arrays). Two
-threads that race on a cache build equal values.
+endpoints ``lo`` and ``hi`` (``lo[e] < hi[e]``) and ``weights``. A graph
+built by :meth:`WeightedGraph.from_columns` from int64 numpy arrays (the
+``.gr`` bulk parser's) keeps the columns only as read-only int64 arrays,
+:meth:`WeightedGraph.endpoint_arrays` and
+:meth:`WeightedGraph.weight_array`; the tuples of Python ints ``lo``, ``hi``
+and ``weights`` are built from them on first use. A graph built from
+Python ints keeps the tuples, and the arrays are built from them on first
+use. Construction validates the columns in bulk: range, self-loops, plain
+int values and duplicates. Columns of Python ints are checked with a set of
+exact ``lo * n + hi`` int keys. int64 columns are checked in numpy, with
+one sort of the same keys in uint64; above n = 2**32 these wrap, and a
+repeated key only counts as doubt. On the first doubt the per-edge check
+reruns in edge order, so an error names the same edge as before. What
+derives from the columns is built on first use and cached: the
+``(u, v, w)`` triples ``edges``, the adjacency lists ``adj`` and the pair
+index behind :meth:`WeightedGraph.edge_id`. Two threads that race on a
+cache build equal values.
 
 Connectivity (:meth:`WeightedGraph.components`, :func:`is_connected`,
 :func:`induced_by_matching_connected`) runs on one numpy labeller that
@@ -151,13 +156,16 @@ class WeightedGraph:
 
     ``edges`` is a tuple of ``(u, v, w)`` triples with ``u < v``; edge ids are
     positions in that tuple. ``lo``, ``hi`` and ``weights`` are the same
-    edges as columns: ``edges[e] == (lo[e], hi[e], weights[e])``. ``edges``
-    and ``adj`` are built from the columns on first use; ``adj[v]`` lists
-    the ids of edges incident to ``v`` in increasing order. The columns are
-    tuples of Python ints, also when :meth:`from_columns` got numpy arrays.
+    edges as columns of Python ints: ``edges[e] == (lo[e], hi[e],
+    weights[e])``. A graph built from int64 arrays holds the columns as
+    arrays first (:meth:`endpoint_arrays`, :meth:`weight_array`) and builds
+    the tuples, ``edges`` and ``adj`` only when they are read; ``adj[v]``
+    lists the ids of edges incident to ``v`` in increasing order.
     """
 
-    __slots__ = ("n", "lo", "hi", "weights", "_edges", "_adj", "_pair_index", "_arrays")
+    __slots__ = (
+        "n", "m", "_lo", "_hi", "_weights", "_edges", "_adj", "_pair_index", "_arrays", "_weight_array",
+    )
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int, int]]):
         if n < 0:
@@ -180,14 +188,16 @@ class WeightedGraph:
         """``WeightedGraph(n, zip(us, vs, ws))``, built without the
         intermediate triples; errors are the same. The columns are sequences
         of ints or int64 numpy arrays; arrays are checked in numpy, and the
-        ``lo``/``hi`` arrays built there become :meth:`endpoint_arrays`."""
+        graph keeps the ``lo``/``hi`` arrays built there and a read-only
+        copy of ``ws`` as its columns, with no tuples."""
         if hasattr(us, "dtype"):
             arrays = _check_arrays(n, us, vs, ws)
             if arrays is None:
                 return cls(n, zip(us.tolist(), vs.tolist(), ws.tolist()))
+            ws = ws.copy()
+            ws.flags.writeable = False
             g = cls.__new__(cls)
-            g._set(n, arrays[0].tolist(), arrays[1].tolist(), ws.tolist())
-            g._arrays = arrays
+            g._set(n, *arrays, ws)
             return g
         cols = _check_columns(n, us, vs, ws) if n >= 0 else None
         if cols is None:
@@ -197,14 +207,41 @@ class WeightedGraph:
         return g
 
     def _set(self, n: int, lo: Sequence[int], hi: Sequence[int], ws: Sequence[int]) -> None:
+        """Store the columns: read-only int64 arrays as they are, anything
+        else as tuples."""
         self.n = n
-        self.lo = tuple(lo)
-        self.hi = tuple(hi)
-        self.weights = tuple(ws)
+        self.m = len(lo)
         self._edges: Optional[tuple[tuple[int, int, int], ...]] = None
         self._adj: Optional[list[list[int]]] = None
         self._pair_index: Optional[dict[int, int]] = None
-        self._arrays = None
+        if hasattr(lo, "dtype"):
+            self._lo = self._hi = self._weights = None
+            self._arrays = lo, hi
+            self._weight_array = ws
+        else:
+            self._lo, self._hi, self._weights = tuple(lo), tuple(hi), tuple(ws)
+            self._arrays = self._weight_array = None
+
+    @property
+    def lo(self) -> tuple[int, ...]:
+        lo = self._lo
+        if lo is None:
+            lo = self._lo = tuple(self._arrays[0].tolist())
+        return lo
+
+    @property
+    def hi(self) -> tuple[int, ...]:
+        hi = self._hi
+        if hi is None:
+            hi = self._hi = tuple(self._arrays[1].tolist())
+        return hi
+
+    @property
+    def weights(self) -> tuple[int, ...]:
+        ws = self._weights
+        if ws is None:
+            ws = self._weights = tuple(self._weight_array.tolist())
+        return ws
 
     @property
     def edges(self) -> tuple[tuple[int, int, int], ...]:
@@ -230,15 +267,27 @@ class WeightedGraph:
         if arrays is None:
             import numpy as np
 
-            arrays = (np.array(self.lo, dtype=np.int64), np.array(self.hi, dtype=np.int64))
+            arrays = (np.array(self._lo, dtype=np.int64), np.array(self._hi, dtype=np.int64))
             for a in arrays:
                 a.flags.writeable = False
             self._arrays = arrays
         return arrays
 
-    @property
-    def m(self) -> int:
-        return len(self.lo)
+    def weight_array(self):
+        """``weights`` as a read-only int64 numpy array, built on first use;
+        None if a weight lies outside the int64 range, which only a graph
+        built from Python ints can hold."""
+        ws = self._weight_array
+        if ws is None:
+            import numpy as np
+
+            try:
+                ws = np.array(self._weights, dtype=np.int64)
+            except OverflowError:
+                return None
+            ws.flags.writeable = False
+            self._weight_array = ws
+        return ws
 
     def weight(self, eid: int) -> int:
         return self.weights[eid]
@@ -383,15 +432,28 @@ def _raise_first_conflict(m: int, lo: Sequence[int], hi: Sequence[int], ids: Seq
 class Matching:
     """A set of vertex-disjoint edges of a :class:`WeightedGraph`.
 
-    Total weight and the saturated vertex set are computed once and cached.
-    The edges are disjoint iff their endpoint list has no repeat; only when
-    that one-pass check fails does an ordered loop run, to name the first
-    bad edge id.
+    ``edge_ids`` is the sorted tuple of distinct edge ids, ``weight`` their
+    total weight and ``vertices`` the saturated vertex set. The edges are
+    disjoint iff their endpoint list has no repeat; only when that one-pass
+    check fails does an ordered loop run, to name the first bad edge id.
+
+    The ids may also come as an int64 numpy array. Then the sort, the range
+    check and the endpoint check run in numpy, and the weight is summed in
+    int64 when ``max|w| * k < 2**62`` rules out overflow. ``edge_ids`` and
+    ``vertices`` are built on first use, and :meth:`edge_id_array` keeps the
+    array. On any doubt (a bad id, a shared endpoint, another dtype) the
+    ids take the path of Python ints, with the same errors.
     """
 
-    __slots__ = ("graph", "edge_ids", "weight", "vertices")
+    __slots__ = ("graph", "weight", "_ids", "_id_array", "_vertices")
 
     def __init__(self, graph: WeightedGraph, edge_ids: Iterable[int]):
+        self.graph = graph
+        self._ids = self._id_array = self._vertices = None
+        if hasattr(edge_ids, "dtype"):
+            if self._set_array(edge_ids):
+                return
+            edge_ids = edge_ids.tolist()
         ids = tuple(sorted(set(edge_ids)))
         m, lo, hi = graph.m, graph.lo, graph.hi
         in_range = not ids or (0 <= ids[0] and ids[-1] < m)
@@ -399,17 +461,70 @@ class Matching:
         saturated = frozenset(ends)
         if not in_range or len(saturated) != len(ends):
             _raise_first_conflict(m, lo, hi, ids)
-        self.graph = graph
-        self.edge_ids = ids
+        self._ids = ids
         self.weight = sum(_pick(graph.weights, ids))
-        self.vertices = saturated
+        self._vertices = saturated
+
+    def _set_array(self, ids) -> bool:
+        """Take a valid int64 id array; False on any doubt."""
+        import numpy as np
+
+        g = self.graph
+        if ids.dtype != np.int64 or ids.ndim != 1:
+            return False
+        ids = np.sort(ids)
+        if ids.size:
+            ids = ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
+            if ids[0] < 0 or ids[-1] >= g.m:
+                return False
+            lo, hi = g.endpoint_arrays()
+            ends = np.concatenate((lo[ids], hi[ids]))
+            ends.sort()
+            if (ends[1:] == ends[:-1]).any():
+                return False
+        ws = g.weight_array()
+        if ws is None:
+            return False
+        ws = ws[ids]
+        big = max(-int(ws.min()), int(ws.max())) if ws.size else 0
+        self.weight = int(ws.sum()) if big * ws.size < 2**62 else sum(ws.tolist())
+        ids.flags.writeable = False
+        self._id_array = ids
+        return True
+
+    @property
+    def edge_ids(self) -> tuple[int, ...]:
+        ids = self._ids
+        if ids is None:
+            ids = self._ids = tuple(self._id_array.tolist())
+        return ids
+
+    @property
+    def vertices(self) -> frozenset:
+        verts = self._vertices
+        if verts is None:
+            lo, hi = self.graph.endpoint_arrays()
+            ids = self._id_array
+            verts = self._vertices = frozenset(lo[ids].tolist() + hi[ids].tolist())
+        return verts
+
+    def edge_id_array(self):
+        """``edge_ids`` as a read-only int64 numpy array, built on first use."""
+        ids = self._id_array
+        if ids is None:
+            import numpy as np
+
+            ids = np.array(self._ids, dtype=np.int64)
+            ids.flags.writeable = False
+            self._id_array = ids
+        return ids
 
     def edge_pairs(self) -> list[tuple[int, int]]:
         lo, hi = self.graph.lo, self.graph.hi
         return [(lo[eid], hi[eid]) for eid in self.edge_ids]
 
     def __len__(self):
-        return len(self.edge_ids)
+        return len(self._ids if self._ids is not None else self._id_array)
 
     def __eq__(self, other) -> bool:
         return (
@@ -456,9 +571,9 @@ def induced_by_matching_connected(g: WeightedGraph, m: Matching) -> bool:
 
     if m.graph is not g and m.graph != g:
         raise GraphError("matching belongs to a different graph")
-    if not m.edge_ids:
+    if not len(m):
         return True
-    ids = np.array(m.edge_ids, dtype=np.int64)
+    ids = m.edge_id_array()
     mlo, mhi = m.graph.endpoint_arrays()  # edge ids are positions in m.graph
     matched = np.concatenate((mlo[ids], mhi[ids]))
     inside = np.zeros(g.n, dtype=bool)

@@ -17,6 +17,13 @@ best-child links.
 Everything is iterative (million-vertex trees must not touch the recursion
 limit) and the hot loops index flat arrays; attribute lookups and method
 calls in them are deliberately avoided.
+
+Trees of 4096 vertices or more run the same DP in numpy on the graph's
+int64 columns (:func:`_solve_tree_layered`). It needs no adjacency lists,
+no CSR and no BFS: it roots the tree by peeling rounds of leaves, with each
+vertex's parent read off the XOR of its remaining neighbour ids, and runs
+the DP once per round. The witness is handed to :class:`Matching` as an id
+array, so a bulk-parsed tree is solved without one Python object per edge.
 """
 
 from __future__ import annotations
@@ -138,119 +145,125 @@ def _reconstruct(g: WeightedGraph, state: TreeDpState, top: int) -> list[int]:
 
 
 def _solve_tree_layered(g: WeightedGraph, root: int) -> Optional[tuple[int, Matching]]:
-    """Vectorized variant of the same DP, processing BFS layers with numpy.
+    """Vectorized variant of the same DP on int64 arrays, one round of
+    leaves at a time.
+
+    The tree is rooted by peeling leaves with ``root`` pinned. Each vertex
+    keeps its degree and the XOR of its remaining neighbour ids and of its
+    remaining incident edge ids, so a leaf's parent and parent edge are its
+    two XORs; peeling a round of leaves updates their parents' XORs and
+    degrees, and the parents left with degree 1 are the next round. A vertex
+    is peeled only after all its children, so the DP runs once per round.
+    The witness is rebuilt top-down over the rounds in reverse.
 
     Returns None when the instance is unsuitable (possible int64 overflow or
-    a decomposition into too many layers, where per-layer overhead dominates).
+    more rounds than ``max_rounds``, where per-round overhead dominates).
     Produces results identical to the Python path; the equivalence is pinned
     by tests.
     """
     import numpy as np
 
     n = g.n
-    max_abs = max(map(abs, g.weights), default=0)
+    ew = g.weight_array()
+    if ew is None:
+        return None
+    # exact: np.abs wraps at -2**63
+    max_abs = max(-int(ew.min()), int(ew.max())) if ew.size else 0
     if (max_abs + 1) * (n + 1) >= 2**62:
         return None
-
     eu, ev = g.endpoint_arrays()
-    ew = np.array(g.weights, dtype=np.int64)
     eids = np.arange(g.m, dtype=np.int64)
 
-    src = np.concatenate([eu, ev])
-    dst = np.concatenate([ev, eu])
-    dw = np.concatenate([ew, ew])
-    did = np.concatenate([eids, eids])
-    perm = np.argsort(src, kind="stable")
-    dst, dw, did = dst[perm], dw[perm], did[perm]
-    deg = np.bincount(src, minlength=n)
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=starts[1:])
+    deg = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
+    deg[root] += n + 1  # pinned: its degree never falls to 1
+    nbr_x = np.zeros(n, dtype=np.int64)
+    edge_x = np.zeros(n, dtype=np.int64)
+    np.bitwise_xor.at(nbr_x, eu, ev)
+    np.bitwise_xor.at(nbr_x, ev, eu)
+    np.bitwise_xor.at(edge_x, eu, eids)
+    np.bitwise_xor.at(edge_x, ev, eids)
+    del eids
 
-    SENT = -(2**62)
     parent = np.full(n, -1, dtype=np.int64)
     parent_edge = np.full(n, -1, dtype=np.int64)
-    wpar = np.zeros(n, dtype=np.int64)
-    parent[root] = root
-    frontier = np.array([root], dtype=np.int64)
-    layers = [frontier]
-    visited = 1
-    max_layers = 20000
-    while frontier.size:
-        if len(layers) > max_layers:
+    slot = np.zeros(n, dtype=np.int64)  # scratch for removing repeats
+    rounds = []
+    leaves = np.flatnonzero(deg == 1)
+    peeled = 0
+    max_rounds = 20000
+    while leaves.size:
+        if len(rounds) >= max_rounds:
             return None
-        cnt = deg[frontier]
-        total = int(cnt.sum())
-        if total == 0:
-            break
-        cum = np.cumsum(cnt)
-        offs = np.arange(total, dtype=np.int64) - np.repeat(cum - cnt, cnt)
-        pos = np.repeat(starts[frontier], cnt) + offs
-        nb = dst[pos]
-        mask = parent[nb] == -1
-        new = nb[mask]
-        if new.size == 0:
-            break
-        parent[new] = np.repeat(frontier, cnt)[mask]
-        parent_edge[new] = did[pos][mask]
-        wpar[new] = dw[pos][mask]
-        visited += new.size
-        frontier = new
-        layers.append(frontier)
-    if visited != n:
+        rounds.append(leaves)
+        peeled += leaves.size
+        ps = nbr_x[leaves]
+        pe = edge_x[leaves]
+        parent[leaves] = ps
+        parent_edge[leaves] = pe
+        np.bitwise_xor.at(nbr_x, ps, leaves)
+        np.bitwise_xor.at(edge_x, ps, pe)
+        np.subtract.at(deg, ps, 1)
+        nxt = ps[deg[ps] == 1]
+        # Keep one copy of each: whichever write to a slot lands, exactly
+        # one copy finds its own position there.
+        pos = np.arange(nxt.size, dtype=np.int64)
+        slot[nxt] = pos
+        leaves = nxt[slot[nxt] == pos]
+    if peeled != n - 1:
         raise GraphError("not a tree: graph is disconnected")
+    del nbr_x, edge_x, deg, slot
+    parent[root] = root
 
+    SENT = -(2**62)
     score = np.zeros(n, dtype=np.int64)
     score_un = np.zeros(n, dtype=np.int64)
     best_gain = np.full(n, SENT, dtype=np.int64)
     best_child = np.full(n, n, dtype=np.int64)  # n acts as "none"
 
-    for d in range(len(layers) - 1, -1, -1):
-        vs = layers[d]
+    for vs in rounds:
         bg = best_gain[vs]
         su = score_un[vs]
         sv = np.where(bg != SENT, su + bg, 0)
         score[vs] = sv
-        if d == 0:
-            break
         ps = parent[vs]
         mb = np.maximum(sv, 0)
         np.add.at(score_un, ps, mb)
-        gains = su + wpar[vs] - mb
+        gains = su + ew[parent_edge[vs]] - mb
+        before = best_gain[ps]
         np.maximum.at(best_gain, ps, gains)
-        tie = gains == best_gain[ps]
+        after = best_gain[ps]
+        # A parent's children fall in different rounds: a larger gain than
+        # an earlier round's drops that round's best child.
+        best_child[ps[after > before]] = n
+        tie = gains == after
         np.minimum.at(best_child, ps[tie], vs[tie])
+    bg = best_gain[root]
+    score[root] = score_un[root] + bg if bg != SENT else 0
 
     best = int(score.max())
     if best <= 0:
         return 0, Matching(g, [])
     top = int(np.flatnonzero(score == best)[0])
 
-    depth = np.zeros(n, dtype=np.int64)
-    for i, layer in enumerate(layers):
-        depth[layer] = i
-    d_top = int(depth[top])
-
+    # Top-down: a round's parents lie in later rounds (or are the root), so
+    # every round is visited, and only ``top`` and the vertices below it
+    # can be active.
     active = np.zeros(n, dtype=bool)
     mate_open = np.zeros(n, dtype=bool)
-    chosen: list = []
-    for d in range(d_top, len(layers)):
-        layer = layers[d]
-        if d == d_top:
-            active[top] = True
-        else:
-            ps = parent[layer]
-            active[layer] = (score[layer] > 0) & (
-                (active[ps] & (layer != best_child[ps])) | mate_open[ps]
-            )
-        sat = layer[active[layer]]
+    active[top] = True
+    chosen = []
+    for vs in [np.array([root], dtype=np.int64), *reversed(rounds)]:
+        ps = parent[vs]
+        act = active[vs] | (
+            (score[vs] > 0) & ((active[ps] & (vs != best_child[ps])) | mate_open[ps])
+        )
+        sat = vs[act]
         if sat.size:
+            active[sat] = True
             mates = best_child[sat]
             chosen.append(parent_edge[mates])
             mate_open[mates] = True
-        elif not mate_open[layer].any():
-            break
-    edge_ids = np.concatenate(chosen).tolist() if chosen else []
-    return best, Matching(g, edge_ids)
+    return best, Matching(g, np.concatenate(chosen))
 
 
 def solve_tree(g: WeightedGraph, root: int = 0) -> tuple[int, Matching]:

@@ -321,3 +321,58 @@ class TestMatchingAndWriterReference:
     def test_huge_n_writer(self):
         m = Matching(HUGE, [1, 0])
         assert fileio.write_certificate_text(m) == reference_certificate_text(m) == f"m 1 2\nm 3 {10**12}\n"
+
+    def test_array_ids_match_the_list_form(self):
+        """Ids given as an int64 array: the same matching, the same errors,
+        repeats dropped, on graphs built from tuples and from arrays."""
+        import numpy as np
+
+        rng = random.Random(6)
+        for _ in range(150):
+            g = shuffled_graph(rng)
+            h = WeightedGraph.from_columns(g.n, *(np.array(c, dtype=np.int64) for c in (g.lo, g.hi, g.weights)))
+            ids = random_id_list(rng, g)
+            want = matching_outcome(reference_matching, g, ids)
+            for graph in (g, h):
+                assert matching_outcome(Matching, graph, np.array(ids, dtype=np.int64)) == want
+                assert matching_outcome(Matching, graph, ids) == want
+                for bad in invalid_id_lists(rng, g, ids):
+                    assert matching_outcome(Matching, graph, np.array(bad, dtype=np.int64)) == matching_outcome(
+                        reference_matching, g, bad
+                    )
+            m = Matching(h, np.array(ids, dtype=np.int64))
+            assert m.edge_id_array().tolist() == list(m.edge_ids)
+            assert m == Matching(g, ids) and len(m) == len(set(ids))
+            assert fileio.write_certificate_text(m) == reference_certificate_text(m)
+
+    def test_array_ids_keep_the_weight_exact(self):
+        import numpy as np
+
+        for w in (2**63 - 1, -(2**63)):
+            cols = (np.array(c, dtype=np.int64) for c in ([0, 2, 4], [1, 3, 5], [w] * 3))
+            g = WeightedGraph.from_columns(6, *cols)
+            m = Matching(g, np.array([2, 0, 1, 2], dtype=np.int64))
+            assert (m.edge_ids, m.weight, m.vertices) == ((0, 1, 2), 3 * w, frozenset(range(6)))
+        # weights past int64 exist only on graphs built from Python ints
+        g = WeightedGraph(4, [(0, 1, 2**64), (2, 3, -1)])
+        assert g.weight_array() is None
+        assert Matching(g, np.array([1, 0], dtype=np.int64)).weight == 2**64 - 1
+        # another dtype takes the path of Python ints
+        assert Matching(g, np.array([1], dtype=np.int32)).edge_ids == (1,)
+
+    def test_writer_at_every_power_of_ten(self, tmp_path):
+        """1-based ids 10**k - 1, 10**k and 10**k + 1 for k = 1..18, each
+        beside a 19-digit partner, against the per-edge writer."""
+        n = 10**18 + 40
+        edges = [(10**k - 2, 10**k - 1, k) for k in range(1, 19)]
+        edges += [(10**k, 10**18 + k, -k) for k in range(1, 19)]
+        edges += [(0, 1, 0), (2, 3, 0)]
+        g = WeightedGraph(n, edges)
+        m = Matching(g, range(g.m))
+        text = fileio.write_certificate_text(m)
+        assert text == reference_certificate_text(m)
+        assert "m 999999999999999999 1000000000000000000\n" in text
+        assert "m 1000000000000000001 1000000000000000019\n" in text
+        assert parse_certificate_text(text, g) == m
+        fileio.write_certificate(m, tmp_path / "c.cert")
+        assert (tmp_path / "c.cert").read_bytes() == text.encode("ascii")

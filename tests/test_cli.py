@@ -159,6 +159,20 @@ class TestCliSolveVerify:
         assert main(["solve", "--graph", str(gp)]) == 2
         assert "line 2: file is not valid UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p wcm -1 0\n", "line 1: vertex count must be non-negative"),
+            ("c note\np wcm 3 -1\n", "line 2: edge count must be non-negative"),
+        ],
+        ids=["negative-n", "negative-m"],
+    )
+    def test_negative_header_count_names_its_line(self, tmp_path, capsys, text, message):
+        gp = tmp_path / "neg.gr"
+        gp.write_text(text)
+        assert main(["solve", "--graph", str(gp)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_non_utf8_td_is_exit_2(self, k2, tmp_path, capsys):
         td = tmp_path / "bad.td"
         td.write_bytes(b"s td 1 2 2\nb 1 1 \xff2\n")

@@ -336,6 +336,27 @@ class TestColumns:
             assert (lo.tolist(), hi.tolist()) == (list(want[2]), list(want[3]))
         assert 50 < errors < 250 and seeded > 50
 
+    def test_int64_arrays_build_no_tuples(self):
+        """A graph built from int64 arrays keeps read-only arrays as its
+        columns and builds the tuples only when they are read."""
+        import numpy as np
+
+        us, vs, ws = (np.array(c, dtype=np.int64) for c in ([2, 1, 3], [0, 3, 2], [5, -2, 2**63 - 1]))
+        g = WeightedGraph.from_columns(4, us, vs, ws)
+        assert (g._lo, g._hi, g._weights, g._edges, g._adj) == (None,) * 5
+        assert g.m == 3
+        lo, hi = g.endpoint_arrays()
+        w = g.weight_array()
+        assert w is not ws and not w.flags.writeable and not lo.flags.writeable
+        ws[0] = 7  # the caller's array is copied
+        assert (lo.tolist(), hi.tolist(), w.tolist()) == ([0, 1, 2], [2, 3, 3], [5, -2, 2**63 - 1])
+        assert (g.lo, g.hi, g.weights) == ((0, 1, 2), (2, 3, 3), (5, -2, 2**63 - 1))
+        assert {type(x) for x in g.lo + g.hi + g.weights} == {int}
+        # and the other way round: tuples first, arrays on first use
+        h = WeightedGraph(4, g.edges)
+        assert h.weight_array().tolist() == w.tolist() and not h.weight_array().flags.writeable
+        assert h == g
+
     def test_non_tuple_edges_still_accepted(self):
         g = WeightedGraph(3, [[2, 1, 4], (0, 1, 2)])
         assert g.edges == ((1, 2, 4), (0, 1, 2))

@@ -2,10 +2,51 @@ import random
 
 import pytest
 
+from connmatch import fileio
+from connmatch.dispatch import dispatch_solve
 from connmatch.graphs import GraphError, Matching, WeightedGraph, induced_by_matching_connected
 from connmatch.oracle import brute_mwcm
 from connmatch.tree_solver import _reconstruct, _solve_tree_layered, solve_tree, tree_dp
 from conftest import path_graph, random_tree, star_graph
+
+
+def python_path(g, root):
+    """The pure-Python DP's answer: the weight and the witness's edge ids."""
+    st = tree_dp(g, root)
+    best = max(st.score)
+    if best <= 0:
+        return 0, ()
+    top = min(v for v in range(g.n) if st.score[v] == best)
+    return best, Matching(g, _reconstruct(g, st, top)).edge_ids
+
+
+def from_text(n, edges, rng):
+    """The tree parsed from a ``.gr`` text in the writer's layout, so its
+    columns are int64 arrays; the edges are listed in a shuffled order with
+    shuffled endpoints."""
+    edges = [(v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in edges]
+    rng.shuffle(edges)
+    lines = [f"p wcm {n} {len(edges)}"] + [f"e {u + 1} {v + 1} {w}" for u, v, w in edges]
+    g = fileio.parse_graph_text("\n".join(lines) + "\n")
+    assert g._lo is None  # the bulk path built it
+    return g
+
+
+def caterpillar(rng, n, wlo, whi):
+    """A path of ``spine`` vertices with every other vertex hung on it."""
+    spine = rng.randint(1, n - 1)
+    edges = [(i, i + 1, rng.randint(wlo, whi)) for i in range(spine - 1)]
+    edges += [(rng.randrange(spine), v, rng.randint(wlo, whi)) for v in range(spine, n)]
+    return n, edges
+
+
+def random_edges(rng, n, wlo, whi):
+    return n, [(rng.randrange(v), v, rng.randint(wlo, whi)) for v in range(1, n)]
+
+
+def star_edges(rng, n, wlo, whi):
+    centre = rng.randrange(n)
+    return n, [(centre, v, rng.randint(wlo, whi)) for v in range(n) if v != centre]
 
 
 class TestSpotValues:
@@ -153,3 +194,87 @@ class TestLayeredPathAgreement:
             assert got is not None
             assert got[0] == max(0, best)
             assert got[1].edge_ids == Matching(g, expected[1]).edge_ids if best > 0 else len(got[1]) == 0
+
+    @pytest.mark.parametrize("shape", [random_edges, star_edges, caterpillar])
+    def test_array_and_tuple_graphs_with_random_roots(self, shape):
+        """Tie-heavy and spread weights, small and large trees, built from
+        tuples and from int64 arrays, rooted anywhere: the layered path
+        gives the Python path's weight and witness."""
+        rng = random.Random(405)
+        for i in range(60):
+            n = rng.randint(2, 3000 if i % 6 == 0 else 60)
+            wlo, whi = (-1, 1) if i % 3 else (-9, 9)
+            n, edges = shape(rng, n, wlo, whi)
+            root = rng.randrange(n)
+            for g in (WeightedGraph(n, edges), from_text(n, edges, rng)):
+                got = _solve_tree_layered(g, root)
+                assert got is not None
+                assert (got[0], got[1].edge_ids) == python_path(g, root)
+                assert got[1].weight == got[0]
+
+    def test_path_past_the_round_cap(self):
+        """A path rooted at one end needs one round per vertex: the layered
+        path gives up, and ``solve_tree`` still answers."""
+        rng = random.Random(406)
+        n, edges = 20_003, [(i, i + 1, rng.randint(-3, 5)) for i in range(20_002)]
+        g = from_text(n, edges, rng)
+        assert _solve_tree_layered(g, 0) is None
+        w, m = solve_tree(g)
+        assert (w, m.edge_ids) == python_path(g, 0)
+
+    @pytest.mark.parametrize("root", [0, 2, 3, 4999])
+    def test_disconnected_graph_with_n_minus_1_edges(self, root):
+        """A triangle beside a path: m = n - 1, and either component may
+        hold the root."""
+        n = 5000
+        edges = [(0, 1, 1), (1, 2, 1), (0, 2, 1)] + [(v, v + 1, 2) for v in range(3, n - 1)]
+        for g in (WeightedGraph(n, edges), from_text(n, edges, random.Random(root))):
+            assert g.m == n - 1
+            with pytest.raises(GraphError, match="not a tree: graph is disconnected"):
+                solve_tree(g, root)
+
+    def test_disconnected_graph_whose_free_tree_peels_to_nothing(self):
+        """The rootless component is a tree whose last two vertices are
+        peeled together; the other one holds a cycle."""
+        n = 4100
+        edges = [(v, v + 1, 1) for v in range(4093)]  # the root's path
+        edges.append((4094, 4095, 1))  # the free tree
+        edges += [(u, v, 1) for u in range(4096, 4100) for v in range(u + 1, 4100) if (u, v) != (4096, 4099)]
+        assert len(edges) == n - 1
+        with pytest.raises(GraphError, match="disconnected"):
+            _solve_tree_layered(WeightedGraph(n, edges), 0)
+
+    @pytest.mark.parametrize("extreme", [-(2**63), 2**63 - 1])
+    def test_int64_extreme_weights_give_the_exact_answer(self, extreme):
+        """Every weight 2**63 - 1, or one -2**63 edge above a vertex of
+        positive score, where an int64 gain would wrap."""
+        rng = random.Random(407)
+        n = 5000
+        _, edges = random_edges(rng, n - 2, -10, 10)
+        if extreme < 0:
+            edges += [(rng.randrange(n - 2), n - 2, extreme), (n - 2, n - 1, 10)]
+        else:
+            edges = [(u, v, extreme) for u, v, _ in edges] + [(0, n - 2, extreme), (0, n - 1, extreme)]
+        for g in (WeightedGraph(n, edges), from_text(n, edges, rng)):
+            want = python_path(g, 0)
+            w, m = solve_tree(g)
+            assert (w, m.edge_ids) == want
+            assert m.weight == w
+
+
+def test_array_path_builds_no_python_columns():
+    """A bulk-parsed tree goes through solve, the certificate round trip and
+    the connectivity check on its int64 columns: no tuple column, no edge
+    triples, no adjacency lists and no pair index are ever built."""
+    rng = random.Random(408)
+    n = 100_000
+    g = from_text(*random_edges(rng, n, -10, 10), rng)
+    w, m = dispatch_solve(g)
+    text = fileio.write_certificate_text(m)
+    back = fileio.parse_certificate_text(text, g)
+    assert fileio._parse_certificate_bulk(text, g) is not None
+    assert induced_by_matching_connected(g, back)
+    assert back.weight == m.weight == w > 0
+    built = {name: getattr(g, name) for name in ("_lo", "_hi", "_weights", "_edges", "_adj", "_pair_index")}
+    assert built == dict.fromkeys(built)
+    assert (w, back.edge_ids) == python_path(g, 0)
