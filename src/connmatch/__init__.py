@@ -18,7 +18,7 @@ from .graphs import (
 )
 from .oracle import OracleError, OracleResult, brute_mwcm, brute_wcs
 from .partitions import Partition, WeightedPartitionSet
-from .tree_solver import TreeDpState, solve_tree, tree_dp
+from .tree_solver import solve_tree
 from .treedecomp import (
     NiceTreeDecomposition,
     TdError,
@@ -39,7 +39,6 @@ __all__ = [
     "Partition",
     "TdError",
     "TreeDecomposition",
-    "TreeDpState",
     "VertexWeightedGraph",
     "WeightedGraph",
     "WeightedPartitionSet",
@@ -60,7 +59,6 @@ __all__ = [
     "solve_degree_two",
     "solve_tree",
     "solve_treewidth",
-    "tree_dp",
     "validate_td",
 ]
 

@@ -32,8 +32,6 @@ And the extracted matching is connected.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from .graphs import (
     GraphError,
     Matching,
@@ -71,6 +69,8 @@ def max_weight_perfect_matching(g: WeightedGraph) -> Matching:
         raise GraphError("no perfect matching: odd number of vertices")
     if g.n == 0:
         return Matching(g, [])
+    import networkx as nx
+
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n))
     for u, v, w in g.edges:

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .chordal_solver import solve_chordal
 from .degree2_solver import solve_degree_two
-from .graphs import GraphError, Matching, WeightedGraph, chordal_peo
+from .graphs import GraphError, Matching, WeightedGraph, _component_labels, chordal_peo
 from .oracle import brute_mwcm
 from .tree_solver import solve_tree
 from .treedecomp import TreeDecomposition, heuristic_td, validate_td
@@ -67,8 +67,8 @@ def dispatch_solve(
         raise GraphError(f"unknown solver {solver!r}; choose one of {SOLVERS}")
     if g.n == 0:
         return 0, Matching(g, [])
-    components = g.components()
-    if len(components) == 1:
+    label = _component_labels(g.n, *g.endpoint_arrays())
+    if not label.any():
         if td is not None:
             validate_td(g, td)
         return _solve_component(g, solver, td, brute_limit)
@@ -76,7 +76,7 @@ def dispatch_solve(
         raise GraphError("an explicit decomposition requires a connected graph")
     best_w = 0
     best: Matching = Matching(g, [])
-    for comp in components:
+    for comp in g.components(label):
         sub, _, edge_map = g.induced(comp)
         w, m = _solve_component(sub, solver, None, brute_limit)
         if w > best_w:

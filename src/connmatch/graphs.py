@@ -319,15 +319,17 @@ class WeightedGraph:
             u, v = v, u
         return self._pair_index.get(u * n + v)
 
-    def components(self) -> list[list[int]]:
+    def components(self, label=None) -> list[list[int]]:
         """Connected components as sorted vertex lists, in order of their
-        smallest vertex."""
+        smallest vertex. ``label`` is the graph's component labelling, if
+        the caller has already computed it."""
         import numpy as np
 
         n = self.n
         if n == 0:
             return []
-        label = _component_labels(n, *self.endpoint_arrays())
+        if label is None:
+            label = _component_labels(n, *self.endpoint_arrays())
         if not label.any():
             return [list(range(n))]
         order = np.argsort(label, kind="stable")

@@ -10,138 +10,126 @@ to child ``u`` is::
     score_unmatched[u] + w(vu) + sum over other children s of max(score[s], 0)
 
 where the trailing sum is obtained from ``score_unmatched[v]`` by subtracting
-``max(score[u], 0)``, keeping the whole pass linear. The overall optimum is
-``max(0, max_v score[v])``; the witness is rebuilt by following the recorded
-best-child links.
+``max(score[u], 0)``, keeping the whole pass linear. Ties go to the child of
+smallest id. The overall optimum is ``max(0, max_v score[v])``, reached first
+at the vertex ``top`` of smallest id; the witness is rebuilt top-down from
+the recorded best-child links.
 
-Everything is iterative (million-vertex trees must not touch the recursion
-limit) and the hot loops index flat arrays; attribute lookups and method
-calls in them are deliberately avoided.
+The tree is rooted by peeling leaves with the root pinned, without
+adjacency lists or a search: each vertex keeps its degree and the XOR of its
+remaining neighbour ids and of its remaining incident edge ids, so a leaf's
+parent and parent edge are its two XORs. A vertex is peeled only after all
+its children, so the DP runs in peeling order, and the witness in reverse.
 
-Trees of 4096 vertices or more run the same DP in numpy on the graph's
-int64 columns (:func:`_solve_tree_layered`). It needs no adjacency lists,
-no CSR and no BFS: it roots the tree by peeling rounds of leaves, with each
-vertex's parent read off the XOR of its remaining neighbour ids, and runs
-the DP once per round. The witness is handed to :class:`Matching` as an id
-array, so a bulk-parsed tree is solved without one Python object per edge.
+The one algorithm runs two ways. :func:`_solve_tree_layered` peels whole
+rounds of leaves in numpy on the graph's int64 columns, paying a fixed cost
+per round; :func:`_solve_tree_scalar` peels one leaf at a time from a FIFO
+on Python ints, paying per vertex. A numpy round costs about as much as 25
+scalar steps, so the rounds pay only while they are wide: they give up once
+they average fewer than ``WIDE`` vertices, and the scalar loop then solves
+the tree from the start. A deep tree, such as a path or a caterpillar,
+thus loses at most about a tenth of the scalar loop's time to rounds it
+gives up, and a tree of fewer than ``WIDE`` vertices skips the numpy setup,
+which could not pass the rule. Weights outside the int64 guard also take
+the scalar loop.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import count
 from typing import Optional
 
 from .graphs import GraphError, Matching, WeightedGraph
 
 _NEG = float("-inf")
 
-
-@dataclass
-class TreeDpState:
-    """Per-vertex DP values for one rooting of the tree."""
-
-    root: int
-    parent: list[int]
-    parent_edge: list[int]
-    order: list[int]  # BFS order from the root
-    score: list[int]  # best weight with v matched to a child (0 at leaves)
-    score_unmatched: list[int]  # sum of positive child scores
-    best_child: list[Optional[int]]
+# The fewest vertices per round, on average, for which the numpy rounds
+# keep going. A round costs about as much as 25 scalar steps, so at 256 per
+# round its fixed cost stays near a tenth of the scalar loop's time, and so
+# do the rounds thrown away when they give up.
+WIDE = 256
 
 
-def tree_dp(g: WeightedGraph, root: int = 0) -> TreeDpState:
-    """Run the rooted DP; raises if ``g`` is not a connected tree."""
+def _solve_tree_scalar(g: WeightedGraph, root: int) -> tuple[int, Matching]:
+    """The DP one vertex at a time, on Python ints.
+
+    Leaves are peeled from a FIFO with ``root`` pinned, and each peeled
+    vertex's recurrences run at once: all its children were peeled before
+    it. Once ``v`` is peeled its two XORs change no more, so they stay its
+    parent and parent edge for the witness.
+    """
     n = g.n
-    if n == 0:
-        raise GraphError("tree solver needs at least one vertex")
-    if g.m != n - 1:
-        raise GraphError("not a tree: edge count differs from n-1")
-    if not (0 <= root < n):
-        raise GraphError(f"root {root} out of range")
-
-    adj = g.adj
-    if n == 1:
-        return TreeDpState(root, [root], [-1], [root], [0], [0], [None])
     eu, ev, ew = g.lo, g.hi, g.weights
-
-    parent = [-1] * n
-    parent_edge = [-1] * n
-    wpar = [0] * n
-    order = [root]
-    parent[root] = root
+    deg = [0] * n
+    nbr_x = [0] * n
+    edge_x = [0] * n
+    for e, u, v in zip(count(), eu, ev):
+        deg[u] += 1
+        deg[v] += 1
+        nbr_x[u] ^= v
+        nbr_x[v] ^= u
+        edge_x[u] ^= e
+        edge_x[v] ^= e
+    deg[root] += n + 1  # pinned: its degree never falls to 1
+    order = [v for v in range(n) if deg[v] == 1]
     append = order.append
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for eid in adj[v]:
-            a = eu[eid]
-            u = ev[eid] if a == v else a
-            if parent[u] == -1:
-                parent[u] = v
-                parent_edge[u] = eid
-                wpar[u] = ew[eid]
-                append(u)
-    if len(order) != n:
-        raise GraphError("not a tree: graph is disconnected")
 
     score = [0] * n
     score_un = [0] * n
     best_gain = [_NEG] * n
-    best_child: list[Optional[int]] = [None] * n
-
-    for i in range(n - 1, -1, -1):
-        v = order[i]
+    best_child = [-1] * n
+    for v in order:
+        # A queued leaf whose last neighbour was peeled first: the two
+        # closed a component without the root.
+        if deg[v] != 1:
+            raise GraphError("not a tree: graph is disconnected")
+        p = nbr_x[v]
+        e = edge_x[v]
+        nbr_x[p] ^= v
+        edge_x[p] ^= e
+        d = deg[p] - 1
+        deg[p] = d
+        if d == 1:
+            append(p)
         bg = best_gain[v]
         su = score_un[v]
         sv = su + bg if bg != _NEG else 0
         score[v] = sv
-        if v == root:
-            continue
-        p = parent[v]
         mb = sv if sv > 0 else 0
         score_un[p] += mb
-        gain = su + wpar[v] - mb
+        gain = su + ew[e] - mb
         pg = best_gain[p]
         if gain > pg or (gain == pg and v < best_child[p]):
             best_gain[p] = gain
             best_child[p] = v
+    if len(order) != n - 1:
+        raise GraphError("not a tree: graph is disconnected")
+    del deg
+    order.append(root)
+    parent, parent_edge = nbr_x, edge_x
+    parent[root] = root
+    bg = best_gain[root]
+    score[root] = score_un[root] + bg if bg != _NEG else 0
 
-    return TreeDpState(
-        root=root,
-        parent=parent,
-        parent_edge=parent_edge,
-        order=order,
-        score=score,
-        score_unmatched=score_un,
-        best_child=best_child,
-    )
+    best = max(score)
+    if best <= 0:
+        return 0, Matching(g, [])
+    top = score.index(best)
 
-
-def _reconstruct(g: WeightedGraph, state: TreeDpState, top: int) -> list[int]:
-    adj = g.adj
-    eu, ev = g.lo, g.hi
-    parent = state.parent
-    score = state.score
-    best_child = state.best_child
-    parent_edge = state.parent_edge
+    active = [False] * n
+    mate_open = [False] * n
+    active[top] = True
     chosen = []
-    stack = [top]
-    while stack:
-        v = stack.pop()
+    for v in reversed(order):
+        if not active[v]:
+            p = parent[v]
+            if score[v] <= 0 or not (mate_open[p] or (active[p] and v != best_child[p])):
+                continue
+            active[v] = True
         b = best_child[v]
         chosen.append(parent_edge[b])
-        for eid in adj[v]:
-            a = eu[eid]
-            u = ev[eid] if a == v else a
-            if u != b and parent[u] == v and score[u] > 0:
-                stack.append(u)
-        for eid in adj[b]:
-            a = eu[eid]
-            u = ev[eid] if a == b else a
-            if parent[u] == b and score[u] > 0:
-                stack.append(u)
-    return chosen
+        mate_open[b] = True
+    return best, Matching(g, chosen)
 
 
 def _solve_tree_layered(g: WeightedGraph, root: int) -> Optional[tuple[int, Matching]]:
@@ -156,10 +144,10 @@ def _solve_tree_layered(g: WeightedGraph, root: int) -> Optional[tuple[int, Matc
     is peeled only after all its children, so the DP runs once per round.
     The witness is rebuilt top-down over the rounds in reverse.
 
-    Returns None when the instance is unsuitable (possible int64 overflow or
-    more rounds than ``max_rounds``, where per-round overhead dominates).
-    Produces results identical to the Python path; the equivalence is pinned
-    by tests.
+    Returns None when the instance is unsuitable: possible int64 overflow,
+    or rounds that average fewer than ``WIDE`` vertices, where the per-round
+    overhead dominates. Produces results identical to the scalar loop; the
+    equivalence is pinned by tests.
     """
     import numpy as np
 
@@ -190,9 +178,8 @@ def _solve_tree_layered(g: WeightedGraph, root: int) -> Optional[tuple[int, Matc
     rounds = []
     leaves = np.flatnonzero(deg == 1)
     peeled = 0
-    max_rounds = 20000
     while leaves.size:
-        if len(rounds) >= max_rounds:
+        if (len(rounds) + 1) * WIDE > peeled + leaves.size:
             return None
         rounds.append(leaves)
         peeled += leaves.size
@@ -269,21 +256,18 @@ def _solve_tree_layered(g: WeightedGraph, root: int) -> Optional[tuple[int, Matc
 def solve_tree(g: WeightedGraph, root: int = 0) -> tuple[int, Matching]:
     """Optimum connected matching weight and a witness for a tree.
 
-    The all-non-positive case yields weight 0 with the empty matching. Large
-    trees are solved by the layered numpy variant of the DP when applicable.
+    The all-non-positive case yields weight 0 with the empty matching.
+    Raises :class:`GraphError` if ``g`` is not a connected tree.
     """
-    if g.n >= 4096:
-        if g.m != g.n - 1:
-            raise GraphError("not a tree: edge count differs from n-1")
-        if not (0 <= root < g.n):
-            raise GraphError(f"root {root} out of range")
+    n = g.n
+    if n == 0:
+        raise GraphError("tree solver needs at least one vertex")
+    if g.m != n - 1:
+        raise GraphError("not a tree: edge count differs from n-1")
+    if not (0 <= root < n):
+        raise GraphError(f"root {root} out of range")
+    if n >= WIDE:
         result = _solve_tree_layered(g, root)
         if result is not None:
             return result
-    state = tree_dp(g, root)
-    best = max(state.score)
-    if best <= 0:
-        return 0, Matching(g, [])
-    top = min(v for v in range(g.n) if state.score[v] == best)
-    matching = Matching(g, _reconstruct(g, state, top))
-    return best, matching
+    return _solve_tree_scalar(g, root)

@@ -362,8 +362,9 @@ class TestColumns:
         assert g.edges == ((1, 2, 4), (0, 1, 2))
 
 
-def test_importing_the_cli_does_not_load_numpy():
-    code = "import sys, connmatch.cli; assert 'numpy' not in sys.modules, 'numpy imported'"
+@pytest.mark.parametrize("module", ["numpy", "networkx"])
+def test_importing_the_cli_does_not_load(module):
+    code = f"import sys, connmatch.cli; assert {module!r} not in sys.modules, '{module} imported'"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -2,22 +2,36 @@ import random
 
 import pytest
 
-from connmatch import fileio
+from connmatch import fileio, tree_solver
 from connmatch.dispatch import dispatch_solve
 from connmatch.graphs import GraphError, Matching, WeightedGraph, induced_by_matching_connected
 from connmatch.oracle import brute_mwcm
-from connmatch.tree_solver import _reconstruct, _solve_tree_layered, solve_tree, tree_dp
+from connmatch.tree_solver import _solve_tree_layered, _solve_tree_scalar, solve_tree
 from conftest import path_graph, random_tree, star_graph
+from reference_tree_dp import _reconstruct, tree_dp
 
 
 def python_path(g, root):
-    """The pure-Python DP's answer: the weight and the witness's edge ids."""
+    """The reference DP's answer: the weight and the witness's edge ids."""
     st = tree_dp(g, root)
     best = max(st.score)
     if best <= 0:
         return 0, ()
     top = min(v for v in range(g.n) if st.score[v] == best)
     return best, Matching(g, _reconstruct(g, st, top)).edge_ids
+
+
+def numpy_rounds(g, root):
+    """The numpy rounds, kept from giving up by ``WIDE = 1``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tree_solver, "WIDE", 1)
+        got = _solve_tree_layered(g, root)
+    assert got is not None
+    return got
+
+
+# both ways of running the DP
+WAYS = (_solve_tree_scalar, numpy_rounds)
 
 
 def from_text(n, edges, rng):
@@ -32,9 +46,10 @@ def from_text(n, edges, rng):
     return g
 
 
-def caterpillar(rng, n, wlo, whi):
-    """A path of ``spine`` vertices with every other vertex hung on it."""
-    spine = rng.randint(1, n - 1)
+def caterpillar(rng, n, wlo, whi, spine=None):
+    """A path of ``spine`` vertices (random if not given) with every other
+    vertex hung on it."""
+    spine = spine or rng.randint(1, n - 1)
     edges = [(i, i + 1, rng.randint(wlo, whi)) for i in range(spine - 1)]
     edges += [(rng.randrange(spine), v, rng.randint(wlo, whi)) for v in range(spine, n)]
     return n, edges
@@ -47,6 +62,13 @@ def random_edges(rng, n, wlo, whi):
 def star_edges(rng, n, wlo, whi):
     centre = rng.randrange(n)
     return n, [(centre, v, rng.randint(wlo, whi)) for v in range(n) if v != centre]
+
+
+def path_edges(rng, n, wlo, whi):
+    """A path through the vertices in a random order."""
+    order = list(range(n))
+    rng.shuffle(order)
+    return n, [(order[i], order[i + 1], rng.randint(wlo, whi)) for i in range(n - 1)]
 
 
 class TestSpotValues:
@@ -178,6 +200,8 @@ def test_runtime_scales_roughly_linearly():
 
 
 class TestLayeredPathAgreement:
+    """The scalar loop and the numpy rounds against the reference DP."""
+
     def test_matches_python_path(self):
         rng = random.Random(404)
         for _ in range(150):
@@ -190,16 +214,16 @@ class TestLayeredPathAgreement:
             else:
                 top = min(v for v in range(n) if st.score[v] == best)
                 expected = (best, tuple(sorted(_reconstruct(g, st, top))))
-            got = _solve_tree_layered(g, 0)
-            assert got is not None
-            assert got[0] == max(0, best)
-            assert got[1].edge_ids == Matching(g, expected[1]).edge_ids if best > 0 else len(got[1]) == 0
+            for way in WAYS:
+                got = way(g, 0)
+                assert got[0] == max(0, best)
+                assert got[1].edge_ids == Matching(g, expected[1]).edge_ids if best > 0 else len(got[1]) == 0
 
-    @pytest.mark.parametrize("shape", [random_edges, star_edges, caterpillar])
+    @pytest.mark.parametrize("shape", [random_edges, star_edges, caterpillar, path_edges])
     def test_array_and_tuple_graphs_with_random_roots(self, shape):
         """Tie-heavy and spread weights, small and large trees, built from
-        tuples and from int64 arrays, rooted anywhere: the layered path
-        gives the Python path's weight and witness."""
+        tuples and from int64 arrays, rooted anywhere: both ways give the
+        reference's weight and witness."""
         rng = random.Random(405)
         for i in range(60):
             n = rng.randint(2, 3000 if i % 6 == 0 else 60)
@@ -207,14 +231,16 @@ class TestLayeredPathAgreement:
             n, edges = shape(rng, n, wlo, whi)
             root = rng.randrange(n)
             for g in (WeightedGraph(n, edges), from_text(n, edges, rng)):
-                got = _solve_tree_layered(g, root)
-                assert got is not None
-                assert (got[0], got[1].edge_ids) == python_path(g, root)
-                assert got[1].weight == got[0]
+                want = python_path(g, root)
+                for way in WAYS:
+                    got = way(g, root)
+                    assert (got[0], got[1].edge_ids) == want
+                    assert got[1].weight == got[0]
 
-    def test_path_past_the_round_cap(self):
-        """A path rooted at one end needs one round per vertex: the layered
-        path gives up, and ``solve_tree`` still answers."""
+    def test_path_gives_up_the_numpy_rounds(self):
+        """A path rooted at one end peels one vertex per round: the numpy
+        rounds give up at once, and ``solve_tree`` answers by the scalar
+        loop."""
         rng = random.Random(406)
         n, edges = 20_003, [(i, i + 1, rng.randint(-3, 5)) for i in range(20_002)]
         g = from_text(n, edges, rng)
@@ -230,24 +256,33 @@ class TestLayeredPathAgreement:
         edges = [(0, 1, 1), (1, 2, 1), (0, 2, 1)] + [(v, v + 1, 2) for v in range(3, n - 1)]
         for g in (WeightedGraph(n, edges), from_text(n, edges, random.Random(root))):
             assert g.m == n - 1
-            with pytest.raises(GraphError, match="not a tree: graph is disconnected"):
-                solve_tree(g, root)
+            for way in (solve_tree, *WAYS):
+                with pytest.raises(GraphError, match="not a tree: graph is disconnected"):
+                    way(g, root)
 
     def test_disconnected_graph_whose_free_tree_peels_to_nothing(self):
         """The rootless component is a tree whose last two vertices are
-        peeled together; the other one holds a cycle."""
+        queued as leaves together; the other one holds a cycle. Peeling the
+        first leaves the second with no edge, whose XORs name no parent."""
         n = 4100
         edges = [(v, v + 1, 1) for v in range(4093)]  # the root's path
         edges.append((4094, 4095, 1))  # the free tree
         edges += [(u, v, 1) for u in range(4096, 4100) for v in range(u + 1, 4100) if (u, v) != (4096, 4099)]
         assert len(edges) == n - 1
-        with pytest.raises(GraphError, match="disconnected"):
-            _solve_tree_layered(WeightedGraph(n, edges), 0)
+        small = [(0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 1), (5, 6, 1), (6, 7, 1), (7, 8, 1), (8, 9, 1), (2, 5, 1)]
+        for n, edges, roots in ((n, edges, [0]), (10, small, range(10))):
+            g = WeightedGraph(n, edges)
+            for root in roots:
+                for way in (solve_tree, *WAYS):
+                    with pytest.raises(GraphError, match="not a tree: graph is disconnected"):
+                        way(g, root)
 
     @pytest.mark.parametrize("extreme", [-(2**63), 2**63 - 1])
-    def test_int64_extreme_weights_give_the_exact_answer(self, extreme):
+    def test_int64_extreme_weights_give_the_exact_answer(self, extreme, monkeypatch):
         """Every weight 2**63 - 1, or one -2**63 edge above a vertex of
-        positive score, where an int64 gain would wrap."""
+        positive score, where an int64 gain would wrap: the numpy rounds
+        refuse the weights even when forced on, and the scalar loop gives
+        the exact answer."""
         rng = random.Random(407)
         n = 5000
         _, edges = random_edges(rng, n - 2, -10, 10)
@@ -257,24 +292,48 @@ class TestLayeredPathAgreement:
             edges = [(u, v, extreme) for u, v, _ in edges] + [(0, n - 2, extreme), (0, n - 1, extreme)]
         for g in (WeightedGraph(n, edges), from_text(n, edges, rng)):
             want = python_path(g, 0)
-            w, m = solve_tree(g)
-            assert (w, m.edge_ids) == want
-            assert m.weight == w
+            for wide in (tree_solver.WIDE, 1):
+                monkeypatch.setattr(tree_solver, "WIDE", wide)
+                assert _solve_tree_layered(g, 0) is None
+                w, m = solve_tree(g)
+                assert (w, m.edge_ids) == want
+                assert m.weight == w
+
+    def test_weight_beyond_int64_takes_the_scalar_loop(self, monkeypatch):
+        """A tree built from Python ints may hold a weight no int64 holds."""
+        rng = random.Random(409)
+        n, edges = random_edges(rng, 3000, -10, 10)
+        u, v, _ = edges[1234]
+        edges[1234] = (u, v, 2**70)
+        g = WeightedGraph(n, edges)
+        monkeypatch.setattr(tree_solver, "WIDE", 1)
+        assert _solve_tree_layered(g, 0) is None
+        w, m = solve_tree(g, 17)
+        assert (w, m.edge_ids) == python_path(g, 17)
+        assert 1234 in m.edge_ids and m.weight == w > 2**70
 
 
 def test_array_path_builds_no_python_columns():
-    """A bulk-parsed tree goes through solve, the certificate round trip and
-    the connectivity check on its int64 columns: no tuple column, no edge
-    triples, no adjacency lists and no pair index are ever built."""
+    """Bulk-parsed trees go through solve, the certificate round trip and
+    the connectivity check: no edge triples, no adjacency lists and no pair
+    index are ever built. A random tree stays on its int64 columns, with no
+    tuple column either; a path and a caterpillar take the scalar loop."""
     rng = random.Random(408)
     n = 100_000
-    g = from_text(*random_edges(rng, n, -10, 10), rng)
-    w, m = dispatch_solve(g)
-    text = fileio.write_certificate_text(m)
-    back = fileio.parse_certificate_text(text, g)
-    assert fileio._parse_certificate_bulk(text, g) is not None
-    assert induced_by_matching_connected(g, back)
-    assert back.weight == m.weight == w > 0
-    built = {name: getattr(g, name) for name in ("_lo", "_hi", "_weights", "_edges", "_adj", "_pair_index")}
-    assert built == dict.fromkeys(built)
-    assert (w, back.edge_ids) == python_path(g, 0)
+    shapes = (
+        (random_edges(rng, n, -10, 10), ("_lo", "_hi", "_weights", "_edges", "_adj", "_pair_index")),
+        (path_edges(rng, n, -10, 10), ("_edges", "_adj", "_pair_index")),
+        (caterpillar(rng, n, -10, 10, spine=n // 2), ("_edges", "_adj", "_pair_index")),
+    )
+    for i, ((n, edges), unbuilt) in enumerate(shapes):
+        g = from_text(n, edges, rng)
+        assert (_solve_tree_layered(g, 0) is None) == (i > 0)
+        w, m = dispatch_solve(g)
+        text = fileio.write_certificate_text(m)
+        back = fileio.parse_certificate_text(text, g)
+        assert fileio._parse_certificate_bulk(text, g) is not None
+        assert induced_by_matching_connected(g, back)
+        assert back.weight == m.weight == w > 0
+        built = {name: getattr(g, name) for name in unbuilt}
+        assert built == dict.fromkeys(built)
+        assert (w, back.edge_ids) == python_path(g, 0)

@@ -4,12 +4,12 @@ import pytest
 
 from connmatch.graphs import GraphError, WeightedGraph, induced_by_matching_connected
 from connmatch.oracle import brute_mwcm
-from connmatch import partitions, treewidth_solver
+from connmatch import partitions, tree_solver, treewidth_solver
 from connmatch.partitions import WeightedPartitionSet, overlay_memo
 from connmatch.treedecomp import TreeDecomposition, heuristic_td, make_nice
 from connmatch.treewidth_solver import _node_table, solve_treewidth
 from connmatch.degree2_solver import solve_degree_two
-from connmatch.tree_solver import _solve_tree_layered, solve_tree
+from connmatch.tree_solver import _solve_tree_layered, _solve_tree_scalar, solve_tree
 from conftest import cycle_graph, path_graph, random_connected_graph, random_tree
 
 
@@ -80,10 +80,16 @@ class TestCrossSolver:
             g = random_tree(rng, n)
             self.assert_agree(g, solve_tree(g))
 
-    def test_tree_on_the_layered_path(self):
+    def test_tree_on_the_layered_path(self, monkeypatch):
+        """Both ways of running the tree DP: the scalar loop, and the numpy
+        rounds kept from giving up by ``WIDE = 1``."""
         g = random_tree(random.Random(5000), 5000)
-        assert _solve_tree_layered(g, 0) is not None
-        self.assert_agree(g, solve_tree(g))
+        scalar = _solve_tree_scalar(g, 0)
+        monkeypatch.setattr(tree_solver, "WIDE", 1)
+        rounds = _solve_tree_layered(g, 0)
+        assert rounds is not None
+        assert (rounds[0], rounds[1].edge_ids) == (scalar[0], scalar[1].edge_ids)
+        self.assert_agree(g, scalar)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 9, 60, 300])
     def test_cycles(self, n):
