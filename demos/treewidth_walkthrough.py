@@ -31,13 +31,13 @@ print("  node kinds:", {k: kinds.count(k) for k in ("leaf", "introduce", "forget
 # run the DP manually to watch the table sizes, with pruning on and off;
 # every cell must stay within the representative bound 2^(|ground|-1)
 for use_reduce in (True, False):
-    tables = {}
+    tables, memo = {}, {}  # memo: the join overlays of this pass
     biggest = 0
     total_entries = 0
     within_bound = True
     for x in nd.postorder():
         kids = nd.nodes[x].children
-        tables[x] = _node_table(g, nd, x, [tables[c] for c in kids], use_reduce)
+        tables[x] = _node_table(g, nd, x, [tables[c] for c in kids], use_reduce, memo)
         # cells are keyed by (S, U) bitmasks over the bag; the ground is S | U
         for (s, u), entries in tables[x].items():
             biggest = max(biggest, len(entries))

@@ -17,7 +17,6 @@ from .graphs import (
     is_connected,
 )
 from .oracle import OracleError, OracleResult, brute_mwcm, brute_wcs
-from .partitions import Partition, WeightedPartitionSet
 from .tree_solver import solve_tree
 from .treedecomp import (
     NiceTreeDecomposition,
@@ -36,12 +35,10 @@ __all__ = [
     "NiceTreeDecomposition",
     "OracleError",
     "OracleResult",
-    "Partition",
     "TdError",
     "TreeDecomposition",
     "VertexWeightedGraph",
     "WeightedGraph",
-    "WeightedPartitionSet",
     "articulation_points",
     "brute_mwcm",
     "brute_wcs",

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import fileio
 from .dispatch import SOLVERS, dispatch_solve
@@ -18,19 +19,10 @@ from .graphs import (
     classify,
     induced_by_matching_connected,
 )
-from .reductions import (
-    LabeledInstance,
-    gen_bip4,
-    gen_crosscomp,
-    gen_planar_bipartite,
-    gen_planar_subcubic,
-    gen_setcover_to_wcs,
-    gen_starlike,
-    gen_wcs_to_wcm,
-    lift_certificate,
-    project_certificate,
-)
 from .treedecomp import heuristic_td, validate_td
+
+if TYPE_CHECKING:  # only generate and map-cert load the reductions
+    from .reductions import LabeledInstance
 
 GENERATE_KINDS = (
     "starlike",
@@ -44,6 +36,16 @@ GENERATE_KINDS = (
 
 
 def _build_instance(args) -> LabeledInstance:
+    from .reductions import (
+        gen_bip4,
+        gen_crosscomp,
+        gen_planar_bipartite,
+        gen_planar_subcubic,
+        gen_setcover_to_wcs,
+        gen_starlike,
+        gen_wcs_to_wcm,
+    )
+
     kind = args.kind
     if kind in ("starlike", "bip4", "planar-bipartite"):
         if len(args.cnf or []) != 1:
@@ -104,6 +106,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_map_cert(args) -> int:
+    from .reductions import lift_certificate, project_certificate
+
     inst = _build_instance(args)
     if args.map:
         stored = fileio.parse_map(args.map)

@@ -47,11 +47,13 @@ writes the digits of all of them into one byte buffer.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from .graphs import GraphError, Matching, VertexWeightedGraph, WeightedGraph
-from .reductions import Cnf, SetCoverInstance, SteinerInstance
 from .treedecomp import TreeDecomposition
+
+if TYPE_CHECKING:  # the parsers below import them when they build one
+    from .reductions import Cnf, SetCoverInstance, SteinerInstance
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -289,6 +291,8 @@ def parse_cnf_text(text: str) -> Cnf:
         raise FormatError("missing 'p cnf' header")
     if nclauses is not None and len(clauses) != nclauses:
         raise FormatError(f"header announces {nclauses} clauses, file has {len(clauses)}")
+    from .reductions import Cnf
+
     return Cnf.build(nvars, clauses)
 
 
@@ -344,6 +348,8 @@ def parse_steiner_text(text: str) -> SteinerInstance:
         raise FormatError("missing 'k' line")
     if len(edges) != m:
         raise FormatError(f"header announces {m} edges, file has {len(edges)}")
+    from .reductions import SteinerInstance
+
     return SteinerInstance.build(n, edges, terminals, budget)
 
 
@@ -385,6 +391,8 @@ def parse_setcover_text(text: str) -> SetCoverInstance:
         raise FormatError("missing 'k' line")
     if p is not None and len(sets) != p:
         raise FormatError(f"header announces {p} sets, file has {len(sets)}")
+    from .reductions import SetCoverInstance
+
     return SetCoverInstance.build(q, sets, budget)
 
 

@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass
 from itertools import count, repeat
 from operator import add, eq, itemgetter, lt, mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class GraphError(ValueError):
@@ -542,8 +541,7 @@ class Matching:
         return f"Matching(weight={self.weight}, edges={self.edge_pairs()})"
 
 
-@dataclass(frozen=True)
-class GraphClassReport:
+class GraphClassReport(NamedTuple):
     """Structural facts about a graph, used to pick a solver."""
 
     connected: bool

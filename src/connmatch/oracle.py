@@ -10,8 +10,7 @@ branches that cannot beat the incumbent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .graphs import GraphError, Matching, VertexWeightedGraph, WeightedGraph
 
@@ -20,8 +19,7 @@ class OracleError(GraphError):
     """Raised when an oracle precondition (size limit, parity) is violated."""
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     optimum: int
     witness: Union[Matching, frozenset]
     explored: int

@@ -9,9 +9,11 @@ can be rebuilt from any surviving entry.
 
 Each operator (insert, glue, project, join, reduce, and the max-merge of
 two cells) is one module-level function on entry dicts over ground
-positions, which the treewidth DP calls directly. The methods of
-:class:`WeightedPartitionSet`, which pairs an entry dict with its ground
-tuple, take ground elements instead and wrap the same functions.
+positions, which the treewidth DP calls directly. The join memoizes
+overlays in a dict that its caller owns, one per solve, so no state
+outlives a solve. :class:`WeightedPartitionSet` pairs an entry dict with
+its ground tuple and wraps five of the functions over ground elements, for
+the benchmark tracer only.
 
 All operators keep only the maximum weight per partition, the first one seen
 on ties (the problem maximizes, so duplicate removal and the
@@ -19,15 +21,14 @@ representative-set reduction are max-oriented). ``reduce`` prunes a cell to
 at most ``2^(|ground|-1)`` entries: rows are the entries' consistency
 vectors against all two-sided cuts of the ground set with a fixed element
 pinned to the left side, and a greedy basis over GF(2), visiting rows by
-descending weight, preserves ``opt(q, .)`` for every possible future
+descending weight, preserves ``opt(q, .)``, the best weight among entries
+whose overlay with ``q`` is one block, for every possible future
 coarsening ``q``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .graphs import GraphError
 
@@ -37,30 +38,7 @@ class PartitionError(GraphError):
 
 
 # ---------------------------------------------------------------------------
-# canonical partitions over explicit ground sets
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A partition of ``ground`` in canonical min-position labeling."""
-
-    ground: tuple
-    labels: tuple
-
-    def __post_init__(self):
-        if tuple(sorted(set(self.ground))) != self.ground:
-            raise PartitionError("ground set must be strictly sorted")
-        g = len(self.ground)
-        if len(self.labels) != g or not all(0 <= lab < g for lab in self.labels):
-            raise PartitionError("labels must give a ground position for each element")
-        if self.labels != _overlay(range(len(self.labels)), self.labels):
-            raise PartitionError("labels are not canonical")
-
-    def blocks(self) -> list[frozenset]:
-        by_label: dict[int, list] = {}
-        for i, lab in enumerate(self.labels):
-            by_label.setdefault(lab, []).append(self.ground[i])
-        return [frozenset(by_label[k]) for k in sorted(by_label)]
+# canonical labellings
 
 
 def _find(rep: list[int], x: int) -> int:
@@ -94,28 +72,6 @@ def _overlay(la, lb) -> tuple:
 
 # ---------------------------------------------------------------------------
 # the operators on entry dicts
-
-# Canonical overlay of two label tuples, keyed by ``(la, lb)``; a dict only
-# inside an ``overlay_memo()`` block.
-_overlay_memo: Optional[dict] = None
-
-
-@contextmanager
-def overlay_memo() -> Iterator[None]:
-    """Share join overlays across all ``join_entries`` calls inside the block.
-
-    The overlay of two label tuples depends on nothing else, so one solve
-    repeats the same few overlays across many cells. The memo is dropped on
-    exit, also on an exception, so no memory or warm state outlives the block.
-    """
-    global _overlay_memo
-    outer = _overlay_memo
-    _overlay_memo = {}
-    try:
-        yield
-    finally:
-        _overlay_memo = outer
-
 
 # entry traces for witness reconstruction:
 #   None                     base entry, no matched edges recorded
@@ -201,13 +157,14 @@ def project_entries(entries: dict, drop: Iterable[int], out: dict) -> None:
                 out[labels] = payload
 
 
-def join_entries(a: dict, b: dict, out: dict) -> None:
+def join_entries(a: dict, b: dict, out: dict, memo: dict) -> None:
     """Max-merge into ``out`` the overlay of every pair of entries of ``a``
     and ``b`` (one ground set), with added weights and a join trace.
 
-    Inside an :func:`overlay_memo` block, overlays are shared across calls.
+    ``memo`` maps ``(la, lb)`` to the canonical overlay of the two label
+    tuples, which depends on nothing else, so one solve shares one memo
+    across all its joins and drops it at the end.
     """
-    memo = _overlay_memo if _overlay_memo is not None else {}
     for la, (wa, ta) in a.items():
         for lb, (wb, tb) in b.items():
             key = memo.get((la, lb))
@@ -274,41 +231,15 @@ def _cut_vector(labels: tuple, g: int) -> int:
 class WeightedPartitionSet:
     """Partitions of one ground set, each with its best weight and trace."""
 
+    # The DP calls the entry functions above. The five wrappers below stay
+    # because ``perfbench/layers.py`` times them by name; it is their only
+    # caller outside the tests.
+
     __slots__ = ("ground", "entries")
 
     def __init__(self, ground: tuple, entries: Optional[dict] = None):
         self.ground = tuple(ground)
         self.entries: dict = entries if entries is not None else {}
-
-    @staticmethod
-    def from_weighted(ground, pairs) -> "WeightedPartitionSet":
-        """rmc over raw (labels, weight) pairs: keep the max per partition.
-
-        ``ground`` must be strictly sorted, and each raw labelling must name a
-        ground position for every element; it is canonicalized.
-        """
-        ground = tuple(ground)
-        if tuple(sorted(set(ground))) != ground:
-            raise PartitionError("ground set must be strictly sorted")
-        g = len(ground)
-        entries: dict = {}
-        for labels, weight in pairs:
-            if len(labels) != g or not all(0 <= lab < g for lab in labels):
-                raise PartitionError("labels must give a ground position for each element")
-            labels = _overlay(range(g), labels)
-            cur = entries.get(labels)
-            if cur is None or weight > cur[0]:
-                entries[labels] = (weight, None)
-        return WeightedPartitionSet(ground, entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def union_into(self, other: "WeightedPartitionSet") -> None:
-        """In-place max-merge of ``other`` (same ground) into this set."""
-        if self.ground != other.ground:
-            raise PartitionError("union needs identical ground sets")
-        merge_entries(self.entries, other.entries)
 
     def insert(self, new_elements: Iterable) -> "WeightedPartitionSet":
         """Add fresh elements, each as its own singleton block."""
@@ -345,18 +276,8 @@ class WeightedPartitionSet:
         if self.ground != other.ground:
             raise PartitionError("join needs identical ground sets")
         out: dict = {}
-        join_entries(self.entries, other.entries, out)
+        join_entries(self.entries, other.entries, out, {})
         return WeightedPartitionSet(self.ground, out)
-
-    def opt(self, q: Partition) -> Optional[int]:
-        """Max weight among entries whose overlay with ``q`` is one block."""
-        if q.ground != self.ground:
-            raise PartitionError("opt query needs the cell's ground set")
-        best = None
-        for labels, (w, _) in self.entries.items():
-            if len(set(_overlay(labels, q.labels))) == 1 and (best is None or w > best):
-                best = w
-        return best
 
     def reduce(self) -> "WeightedPartitionSet":
         """The representative-set reduction (see :func:`reduce_entries`);

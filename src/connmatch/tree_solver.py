@@ -21,22 +21,23 @@ remaining neighbour ids and of its remaining incident edge ids, so a leaf's
 parent and parent edge are its two XORs. A vertex is peeled only after all
 its children, so the DP runs in peeling order, and the witness in reverse.
 
-The one algorithm runs two ways. :func:`_solve_tree_layered` peels whole
-rounds of leaves in numpy on the graph's int64 columns, paying a fixed cost
-per round; :func:`_solve_tree_scalar` peels one leaf at a time from a FIFO
-on Python ints, paying per vertex. A numpy round costs about as much as 25
-scalar steps, so the rounds pay only while they are wide: they give up once
-they average fewer than ``WIDE`` vertices, and the scalar loop then solves
-the tree from the start. A deep tree, such as a path or a caterpillar,
-thus loses at most about a tenth of the scalar loop's time to rounds it
-gives up, and a tree of fewer than ``WIDE`` vertices skips the numpy setup,
+The one algorithm runs two ways, which share one numpy setup
+(:func:`_peel_start`: the degrees and the two XORs, from the graph's int64
+endpoint columns). :func:`_solve_tree_layered` peels whole rounds of leaves
+in numpy, paying a fixed cost per round; :func:`_solve_tree_scalar` takes
+the setup as Python lists and peels one leaf at a time from a FIFO, paying
+per vertex. A numpy round costs about as much as 25 scalar steps, so the
+rounds pay only while they are wide: they give up once they average fewer
+than ``WIDE`` vertices, and the scalar loop then solves the tree from a
+fresh setup. A deep tree, such as a path or a caterpillar, thus loses at
+most about a tenth of the scalar loop's time to rounds it gives up, and a
+tree of fewer than ``WIDE`` vertices pays the setup but skips the rounds,
 which could not pass the rule. Weights outside the int64 guard also take
-the scalar loop.
+the scalar loop; the setup reads only the endpoints, which always fit.
 """
 
 from __future__ import annotations
 
-from itertools import count
 from typing import Optional
 
 from .graphs import GraphError, Matching, WeightedGraph
@@ -50,6 +51,26 @@ _NEG = float("-inf")
 WIDE = 256
 
 
+def _peel_start(g: WeightedGraph, root: int):
+    """Each vertex's degree and the XORs of its neighbour ids and of its
+    incident edge ids, as int64 arrays, with ``root`` pinned: its degree
+    gets ``n + 1`` more, so it never falls to 1."""
+    import numpy as np
+
+    n = g.n
+    eu, ev = g.endpoint_arrays()
+    eids = np.arange(g.m, dtype=np.int64)
+    deg = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
+    deg[root] += n + 1
+    nbr_x = np.zeros(n, dtype=np.int64)
+    edge_x = np.zeros(n, dtype=np.int64)
+    np.bitwise_xor.at(nbr_x, eu, ev)
+    np.bitwise_xor.at(nbr_x, ev, eu)
+    np.bitwise_xor.at(edge_x, eu, eids)
+    np.bitwise_xor.at(edge_x, ev, eids)
+    return deg, nbr_x, edge_x
+
+
 def _solve_tree_scalar(g: WeightedGraph, root: int) -> tuple[int, Matching]:
     """The DP one vertex at a time, on Python ints.
 
@@ -58,19 +79,11 @@ def _solve_tree_scalar(g: WeightedGraph, root: int) -> tuple[int, Matching]:
     it. Once ``v`` is peeled its two XORs change no more, so they stay its
     parent and parent edge for the witness.
     """
+    import numpy as np
+
     n = g.n
-    eu, ev, ew = g.lo, g.hi, g.weights
-    deg = [0] * n
-    nbr_x = [0] * n
-    edge_x = [0] * n
-    for e, u, v in zip(count(), eu, ev):
-        deg[u] += 1
-        deg[v] += 1
-        nbr_x[u] ^= v
-        nbr_x[v] ^= u
-        edge_x[u] ^= e
-        edge_x[v] ^= e
-    deg[root] += n + 1  # pinned: its degree never falls to 1
+    ew = g.weights
+    deg, nbr_x, edge_x = [a.tolist() for a in _peel_start(g, root)]
     order = [v for v in range(n) if deg[v] == 1]
     append = order.append
 
@@ -129,17 +142,18 @@ def _solve_tree_scalar(g: WeightedGraph, root: int) -> tuple[int, Matching]:
         b = best_child[v]
         chosen.append(parent_edge[b])
         mate_open[b] = True
-    return best, Matching(g, chosen)
+    # given an id array, the matching reads the endpoint arrays, so the
+    # lo/hi tuples are never built
+    return best, Matching(g, np.array(chosen, dtype=np.int64))
 
 
 def _solve_tree_layered(g: WeightedGraph, root: int) -> Optional[tuple[int, Matching]]:
     """Vectorized variant of the same DP on int64 arrays, one round of
     leaves at a time.
 
-    The tree is rooted by peeling leaves with ``root`` pinned. Each vertex
-    keeps its degree and the XOR of its remaining neighbour ids and of its
-    remaining incident edge ids, so a leaf's parent and parent edge are its
-    two XORs; peeling a round of leaves updates their parents' XORs and
+    The tree is rooted by peeling leaves with ``root`` pinned, from the
+    state :func:`_peel_start` sets up: a leaf's parent and parent edge are
+    its two XORs, peeling a round of leaves updates their parents' XORs and
     degrees, and the parents left with degree 1 are the next round. A vertex
     is peeled only after all its children, so the DP runs once per round.
     The witness is rebuilt top-down over the rounds in reverse.
@@ -159,18 +173,7 @@ def _solve_tree_layered(g: WeightedGraph, root: int) -> Optional[tuple[int, Matc
     max_abs = max(-int(ew.min()), int(ew.max())) if ew.size else 0
     if (max_abs + 1) * (n + 1) >= 2**62:
         return None
-    eu, ev = g.endpoint_arrays()
-    eids = np.arange(g.m, dtype=np.int64)
-
-    deg = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
-    deg[root] += n + 1  # pinned: its degree never falls to 1
-    nbr_x = np.zeros(n, dtype=np.int64)
-    edge_x = np.zeros(n, dtype=np.int64)
-    np.bitwise_xor.at(nbr_x, eu, ev)
-    np.bitwise_xor.at(nbr_x, ev, eu)
-    np.bitwise_xor.at(edge_x, eu, eids)
-    np.bitwise_xor.at(edge_x, ev, eids)
-    del eids
+    deg, nbr_x, edge_x = _peel_start(g, root)
 
     parent = np.full(n, -1, dtype=np.int64)
     parent_edge = np.full(n, -1, dtype=np.int64)

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .graphs import GraphError, WeightedGraph, is_connected
 
@@ -23,8 +22,7 @@ class TdError(GraphError):
     """Raised when a tree decomposition is malformed or violates an axiom."""
 
 
-@dataclass(frozen=True)
-class TreeDecomposition:
+class TreeDecomposition(NamedTuple):
     bags: tuple  # tuple of frozensets of vertex ids
     tree_edges: tuple  # pairs of bag indices
 
@@ -191,16 +189,14 @@ def heuristic_td(g: WeightedGraph, method: str = "min-fill") -> TreeDecompositio
     return TreeDecomposition.build(bags, tree_edges)
 
 
-@dataclass
-class NiceNode:
+class NiceNode(NamedTuple):
     kind: str  # "leaf" | "introduce" | "forget" | "join"
     bag: frozenset
-    children: list[int] = field(default_factory=list)
+    children: list[int]
     vertex: Optional[int] = None  # for introduce / forget
 
 
-@dataclass
-class NiceTreeDecomposition:
+class NiceTreeDecomposition(NamedTuple):
     nodes: list[NiceNode]
     root: int
     pi: int

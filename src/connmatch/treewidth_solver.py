@@ -46,7 +46,6 @@ from .partitions import (
     insert_entries,
     join_entries,
     merge_entries,
-    overlay_memo,
     project_entries,
     reduce_entries,
     trace_edges,
@@ -145,7 +144,7 @@ def _splits(u: int) -> list[tuple[int, int]]:
         sz = (sz - 1) & u
 
 
-def _join(left: dict, right: dict, use_reduce: bool) -> dict:
+def _join(left: dict, right: dict, use_reduce: bool, memo: dict) -> dict:
     right_pos = {cell: i for i, cell in enumerate(right)}
     right_entries = list(right.values())
     splits: dict = {}
@@ -165,7 +164,7 @@ def _join(left: dict, right: dict, use_reduce: bool) -> dict:
             out = table.get(cell)
             if out is None:
                 out = table[cell] = {}
-            join_entries(a, right_entries[i], out)
+            join_entries(a, right_entries[i], out, memo)
             if use_reduce and len(out) > JOIN_SLACK:
                 ground = (s | shared).bit_count()
                 if len(out) > JOIN_SLACK << max(ground - 1, 0):
@@ -179,7 +178,10 @@ def _node_table(
     x: int,
     child_tables: list[dict],
     use_reduce: bool,
+    memo: dict,
 ) -> dict:
+    """The table of node ``x`` from its children's tables; ``memo`` is the
+    solve's overlay memo (see :func:`join_entries`)."""
     node = nd.nodes[x]
     kind = node.kind
     if kind == "leaf":
@@ -189,7 +191,7 @@ def _node_table(
     elif kind == "forget":
         table = _forget(node, child_tables[0])
     elif kind == "join":
-        table = _join(child_tables[0], child_tables[1], use_reduce)
+        table = _join(child_tables[0], child_tables[1], use_reduce, memo)
     else:
         raise AssertionError(f"unknown node kind {kind!r}")
     if use_reduce:
@@ -212,6 +214,7 @@ def _run_dp(
     child cell ``({v}, {})`` across all forget nodes, or None.
     """
     tables: dict[int, dict] = {}
+    memo: dict = {}  # join overlays, shared by this solve's joins only
     best: Optional[tuple] = None
 
     for x in nd.postorder():
@@ -224,7 +227,7 @@ def _run_dp(
                 if best is None or top[0] > best[0]:
                     best = top
         child_tabs = [tables[c] for c in kids]
-        tables[x] = _node_table(g, nd, x, child_tabs, use_reduce)
+        tables[x] = _node_table(g, nd, x, child_tabs, use_reduce, memo)
         for c in kids:
             del tables[c]
     return best
@@ -264,6 +267,4 @@ def solve_treewidth(
 
     pi0 = min(set().union(*td.bags))
     nd = make_nice(td, pi0)
-    with overlay_memo():
-        best = _run_dp(g, nd, use_reduce)
-    return _witness(g, best)
+    return _witness(g, _run_dp(g, nd, use_reduce))

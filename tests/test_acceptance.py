@@ -19,7 +19,6 @@ from connmatch.graphs import (
     induced_by_matching_connected,
 )
 from connmatch.oracle import brute_mwcm
-from connmatch.partitions import WeightedPartitionSet
 from connmatch.reductions import (
     Cnf,
     SetCoverInstance,
@@ -42,6 +41,7 @@ from connmatch.tree_solver import solve_tree
 from connmatch.treedecomp import heuristic_td, make_nice
 from connmatch.treewidth_solver import _node_table, solve_treewidth
 from conftest import cycle_graph, random_chordal_graph, random_connected_graph, random_tree
+from partition_helpers import from_weighted, opt
 from test_partitions import all_partitions
 
 REFERENCE_FORMULA = Cnf.build(5, [(1, -2, -4), (1, -3, 5), (-1, -2, 4), (2, 3, 5)])
@@ -180,10 +180,10 @@ def test_criterion_4_reduce_correctness():
         for _ in range(20):
             g = random_connected_graph(rng, rng.randint(2, 9), rng.randint(0, 10))
             nd = make_nice(heuristic_td(g), 0)
-            tables = {}
+            tables, memo = {}, {}
             for x in nd.postorder():
                 kids = nd.nodes[x].children
-                tables[x] = _node_table(g, nd, x, [tables[c] for c in kids], True)
+                tables[x] = _node_table(g, nd, x, [tables[c] for c in kids], True, memo)
                 for (s, u), entries in tables[x].items():
                     assert len(entries) <= 1 << max((s | u).bit_count() - 1, 0)
                 for c in kids:
@@ -196,13 +196,13 @@ def test_criterion_4_reduce_correctness():
             ground = tuple(range(k))
             parts = list(all_partitions(ground))
             chosen = rng.sample(parts, rng.randint(1, len(parts)))
-            wps = WeightedPartitionSet.from_weighted(
+            wps = from_weighted(
                 ground, [(p.labels, rng.randint(-30, 30)) for p in chosen]
             )
             red = wps.reduce()
-            assert len(red) <= 1 << (k - 1)
+            assert len(red.entries) <= 1 << (k - 1)
             for q in parts:
-                assert red.opt(q) == wps.opt(q)
+                assert opt(red, q) == opt(wps, q)
 
 
 def test_criterion_5_hardness_equivalence():

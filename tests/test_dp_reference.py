@@ -20,7 +20,6 @@ from connmatch.partitions import (
     insert_entries,
     join_entries,
     merge_entries,
-    overlay_memo,
     project_entries,
     reduce_entries,
 )
@@ -49,27 +48,26 @@ def _vertex_keyed(table: dict, bag) -> dict:
 def _compare(g, use_reduce):
     """Build both DPs' tables node by node and compare each node's cells."""
     nd = make_nice(heuristic_td(g), 0)
-    new_tabs, old_tabs = {}, {}
-    with overlay_memo():
-        for x in nd.postorder():
-            node = nd.nodes[x]
-            kids = node.children
-            new_tabs[x] = _node_table(g, nd, x, [new_tabs[c] for c in kids], use_reduce)
-            old_tabs[x] = ref._node_table(g, nd, x, [old_tabs[c] for c in kids], use_reduce)
-            new = _vertex_keyed(new_tabs[x], node.bag)
-            old = {
-                cell: {labels: w for labels, (w, _) in wps.entries.items()}
-                for cell, wps in old_tabs[x].items()
-            }
-            assert new.keys() == old.keys(), f"node {x} ({node.kind}): cells differ"
-            if use_reduce:
-                for (s, u), entries in new.items():
-                    assert max(entries.values()) == max(old[(s, u)].values()), (x, s, u)
-                    assert len(entries) <= 1 << max(len(s | u) - 1, 0), (x, s, u)
-            else:
-                assert new == old, f"node {x} ({node.kind}): entries differ"
-            for c in kids:
-                del new_tabs[c], old_tabs[c]
+    new_tabs, old_tabs, memo = {}, {}, {}
+    for x in nd.postorder():
+        node = nd.nodes[x]
+        kids = node.children
+        new_tabs[x] = _node_table(g, nd, x, [new_tabs[c] for c in kids], use_reduce, memo)
+        old_tabs[x] = ref._node_table(g, nd, x, [old_tabs[c] for c in kids], use_reduce)
+        new = _vertex_keyed(new_tabs[x], node.bag)
+        old = {
+            cell: {labels: w for labels, (w, _) in wps.entries.items()}
+            for cell, wps in old_tabs[x].items()
+        }
+        assert new.keys() == old.keys(), f"node {x} ({node.kind}): cells differ"
+        if use_reduce:
+            for (s, u), entries in new.items():
+                assert max(entries.values()) == max(old[(s, u)].values()), (x, s, u)
+                assert len(entries) <= 1 << max(len(s | u) - 1, 0), (x, s, u)
+        else:
+            assert new == old, f"node {x} ({node.kind}): entries differ"
+        for c in kids:
+            del new_tabs[c], old_tabs[c]
 
 
 def _ktree_dp_graph():
@@ -161,7 +159,7 @@ class TestEntryOperators:
             want = _old(g, prior)
             want.union_into(_old(g, a).join(_old(g, b)))
             out = dict(prior)
-            join_entries(a, b, out)
+            join_entries(a, b, out, {})
             assert list(out.items()) == list(want.entries.items())
             merged = dict(prior)
             merge_entries(merged, a)

@@ -362,7 +362,7 @@ class TestColumns:
         assert g.edges == ((1, 2, 4), (0, 1, 2))
 
 
-@pytest.mark.parametrize("module", ["numpy", "networkx"])
+@pytest.mark.parametrize("module", ["numpy", "networkx", "dataclasses", "connmatch.reductions"])
 def test_importing_the_cli_does_not_load(module):
     code = f"import sys, connmatch.cli; assert {module!r} not in sys.modules, '{module} imported'"
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}

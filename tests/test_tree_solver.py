@@ -317,13 +317,14 @@ def test_array_path_builds_no_python_columns():
     """Bulk-parsed trees go through solve, the certificate round trip and
     the connectivity check: no edge triples, no adjacency lists and no pair
     index are ever built. A random tree stays on its int64 columns, with no
-    tuple column either; a path and a caterpillar take the scalar loop."""
+    tuple column either; a path and a caterpillar take the scalar loop,
+    which builds only the weights tuple."""
     rng = random.Random(408)
     n = 100_000
     shapes = (
         (random_edges(rng, n, -10, 10), ("_lo", "_hi", "_weights", "_edges", "_adj", "_pair_index")),
-        (path_edges(rng, n, -10, 10), ("_edges", "_adj", "_pair_index")),
-        (caterpillar(rng, n, -10, 10, spine=n // 2), ("_edges", "_adj", "_pair_index")),
+        (path_edges(rng, n, -10, 10), ("_lo", "_hi", "_edges", "_adj", "_pair_index")),
+        (caterpillar(rng, n, -10, 10, spine=n // 2), ("_lo", "_hi", "_edges", "_adj", "_pair_index")),
     )
     for i, ((n, edges), unbuilt) in enumerate(shapes):
         g = from_text(n, edges, rng)

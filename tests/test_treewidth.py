@@ -4,8 +4,7 @@ import pytest
 
 from connmatch.graphs import GraphError, WeightedGraph, induced_by_matching_connected
 from connmatch.oracle import brute_mwcm
-from connmatch import partitions, tree_solver, treewidth_solver
-from connmatch.partitions import WeightedPartitionSet, overlay_memo
+from connmatch import tree_solver, treewidth_solver
 from connmatch.treedecomp import TreeDecomposition, heuristic_td, make_nice
 from connmatch.treewidth_solver import _node_table, solve_treewidth
 from connmatch.degree2_solver import solve_degree_two
@@ -101,11 +100,11 @@ class TestCrossSolver:
 
 def _tables_per_node(g, nd, use_reduce):
     """Replicate the bottom-up pass, recording each cell's best weight."""
-    tables = {}
+    tables, memo = {}, {}
     snapshot = {}
     for x in nd.postorder():
         kids = nd.nodes[x].children
-        tables[x] = _node_table(g, nd, x, [tables[c] for c in kids], use_reduce)
+        tables[x] = _node_table(g, nd, x, [tables[c] for c in kids], use_reduce, memo)
         snapshot[x] = {
             cell: max(w for w, _ in entries.values())
             for cell, entries in tables[x].items()
@@ -137,10 +136,10 @@ class TestReduceSoundness:
             g = random_connected_graph(rng, n, rng.randint(0, 2 * n))
             td = heuristic_td(g)
             nd = make_nice(td, 0)
-            tables = {}
+            tables, memo = {}, {}
             for x in nd.postorder():
                 kids = nd.nodes[x].children
-                tables[x] = _node_table(g, nd, x, [tables[c] for c in kids], True)
+                tables[x] = _node_table(g, nd, x, [tables[c] for c in kids], True, memo)
                 for (s, u), entries in tables[x].items():
                     # join and glue need every label tuple to cover the
                     # ground S | U, in bag order
@@ -163,7 +162,7 @@ class TestReduceSoundness:
 def _reference_join(left, right):
     """The join step as a scan over every (left cell, right cell) pair,
     without reduce: the reference the partner lookup must match."""
-    table = {}
+    table, memo = {}, {}
     for (sy, uy), a in left.items():
         for (sz, uz), b in right.items():
             if sy & sz:
@@ -171,7 +170,7 @@ def _reference_join(left, right):
             shared = uy & ~sz
             if shared != uz & ~sy or sz & ~uy or sy & ~uz:
                 continue
-            treewidth_solver.join_entries(a, b, table.setdefault((sy | sz, shared), {}))
+            treewidth_solver.join_entries(a, b, table.setdefault((sy | sz, shared), {}), memo)
     return table
 
 
@@ -180,9 +179,9 @@ class TestJoinLookup:
         calls = {"n": 0}
         original = treewidth_solver.join_entries
 
-        def counted(a, b, out):
+        def counted(a, b, out, memo):
             calls["n"] += 1
-            original(a, b, out)
+            original(a, b, out, memo)
 
         monkeypatch.setattr(treewidth_solver, "join_entries", counted)
         rng = random.Random(4242)
@@ -191,7 +190,7 @@ class TestJoinLookup:
             n = rng.randint(3, 10)
             g = random_connected_graph(rng, n, rng.randint(n // 2, 2 * n))
             nd = make_nice(heuristic_td(g), 0)
-            tables = {}
+            tables, memo = {}, {}
             for x in nd.postorder():
                 kids = nd.nodes[x].children
                 child_tabs = [tables[c] for c in kids]
@@ -200,26 +199,14 @@ class TestJoinLookup:
                     before = calls["n"]
                     ref = _reference_join(*child_tabs)
                     mid = calls["n"]
-                    tables[x] = _node_table(g, nd, x, child_tabs, False)
+                    tables[x] = _node_table(g, nd, x, child_tabs, False, memo)
                     assert calls["n"] - mid == mid - before
                     assert list(tables[x]) == list(ref)
                     for cell, entries in tables[x].items():
                         assert list(entries.items()) == list(ref[cell].items())
                 else:
-                    tables[x] = _node_table(g, nd, x, child_tabs, False)
+                    tables[x] = _node_table(g, nd, x, child_tabs, False, memo)
                 for c in kids:
                     del tables[c]
         assert joins >= 40
 
-
-class TestOverlayMemo:
-    def test_dropped_on_exit_and_on_error(self):
-        a = WeightedPartitionSet.from_weighted((0, 1, 2), [((0, 0, 2), 1), ((0, 1, 1), 2)])
-        b = WeightedPartitionSet.from_weighted((0, 1, 2), [((0, 1, 0), 3)])
-        assert partitions._overlay_memo is None
-        with pytest.raises(RuntimeError):
-            with overlay_memo():
-                assert a.join(b).entries == a.join(b).entries
-                assert len(partitions._overlay_memo) == 2
-                raise RuntimeError
-        assert partitions._overlay_memo is None
