@@ -39,9 +39,6 @@ def _solve_component(
         return res.optimum, res.witness
     if solver == "treewidth":
         return solve_treewidth(g, td)
-    if solver != "auto":
-        raise GraphError(f"unknown solver {solver!r}; choose one of {SOLVERS}")
-
     if g.m == g.n - 1:
         return solve_tree(g)
     if g.max_degree() <= 2:

@@ -268,6 +268,8 @@ def parse_cnf_text(text: str) -> Cnf:
     current = []
     for no, toks in _lines(text):
         if toks[0] == "p":
+            if nvars is not None:
+                raise FormatError(f"line {no}: duplicate header")
             if len(toks) != 4 or toks[1] != "cnf":
                 raise FormatError(f"line {no}: expected 'p cnf <vars> <clauses>'")
             nvars, nclauses = _int(toks[2], no), _int(toks[3], no)
@@ -319,6 +321,8 @@ def parse_steiner_text(text: str) -> SteinerInstance:
     for no, toks in _lines(text):
         kind = toks[0]
         if kind == "p":
+            if n is not None:
+                raise FormatError(f"line {no}: duplicate header")
             if len(toks) != 4 or toks[1] != "steiner":
                 raise FormatError(f"line {no}: expected 'p steiner <n> <m>'")
             n, m = _int(toks[2], no), _int(toks[3], no)
@@ -368,6 +372,8 @@ def parse_setcover_text(text: str) -> SetCoverInstance:
     for no, toks in _lines(text):
         kind = toks[0]
         if kind == "p":
+            if q is not None:
+                raise FormatError(f"line {no}: duplicate header")
             if len(toks) != 4 or toks[1] != "setcover":
                 raise FormatError(f"line {no}: expected 'p setcover <q> <p>'")
             q, p = _int(toks[2], no), _int(toks[3], no)
@@ -412,6 +418,8 @@ def parse_wcs_text(text: str) -> VertexWeightedGraph:
     for no, toks in _lines(text):
         kind = toks[0]
         if kind == "p":
+            if n is not None:
+                raise FormatError(f"line {no}: duplicate header")
             if len(toks) != 4 or toks[1] != "wcs":
                 raise FormatError(f"line {no}: expected 'p wcs <n> <m>'")
             n, m = _int(toks[2], no), _int(toks[3], no)
@@ -478,6 +486,8 @@ def parse_td_text(text: str) -> TreeDecomposition:
     for no, toks in _lines(text):
         kind = toks[0]
         if kind == "s":
+            if nbags is not None:
+                raise FormatError(f"line {no}: duplicate header")
             if len(toks) != 5 or toks[1] != "td":
                 raise FormatError(f"line {no}: expected 's td <bags> <width+1> <n>'")
             nbags, n = _int(toks[2], no), _int(toks[4], no)

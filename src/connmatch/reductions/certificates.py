@@ -5,16 +5,122 @@ vertex set for the subgraph-flavored target) reaching the instance target
 ``k``; ``project_certificate`` recovers a source solution from any valid
 certificate of weight at least ``k``. Both directions re-validate their
 input and name the violated constraint on failure.
+
+Each source problem has one check that both directions share, and its
+message names the failing side ("source ...", "certificate ..." or
+"projected ..."): a CNF assignment goes through
+:meth:`Cnf.unsatisfied_clause`, a set family through :func:`_require_cover`,
+a Steiner tree through :func:`_normalize_tree`, and a vertex set (a wcs-wcm
+source or a setcover-wcs certificate) through
+:func:`_require_connected_subset`. Matchings, lifted or given, go through
+:func:`_require_connected_matching`. Every connectivity test on the source
+side runs the one search :func:`_bfs`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from ..graphs import Matching, VertexWeightedGraph, induced_by_matching_connected
-from .generators import steiner_parameters, _cycle_labels
+from .generators import _cycle_labels, steiner_parameters
 from .instances import Cnf, LabeledInstance, ReductionError, SetCoverInstance, SteinerInstance
+
+_SAT_KINDS = ("starlike", "bip4", "planar-bipartite")
+
+
+def _bfs(verts, edges: Iterable, start: int) -> tuple[set, list]:
+    """Breadth-first search from ``start`` over the ``edges`` with both ends
+    in ``verts``, visiting neighbours in edge order. Returns the reached
+    vertices and the search-tree edges as ``(min, max)`` pairs in discovery
+    order."""
+    adj = {v: [] for v in verts}
+    for u, v in edges:
+        if u in adj and v in adj:
+            adj[u].append(v)
+            adj[v].append(u)
+    seen = {start}
+    tree = []
+    queue = deque([start])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                tree.append((min(x, y), max(x, y)))
+                queue.append(y)
+    return seen, tree
+
+
+# ---------------------------------------------------------------------------
+# the checks, one per source problem and one for matchings
+
+
+def _require_satisfying(f: Cnf, assignment, side: str) -> None:
+    ci = f.unsatisfied_clause(assignment)
+    if ci is not None:
+        raise ReductionError(f"{side} assignment does not satisfy clause {ci}")
+
+
+def _require_cover(src: SetCoverInstance, chosen: frozenset, side: str) -> None:
+    outside = [j for j in chosen if not 0 <= j < len(src.sets)]
+    if outside:
+        raise ReductionError(f"{side} family names set index {min(outside)}, out of range")
+    missing = set(range(src.universe_size)).difference(*(src.sets[j] for j in chosen))
+    if missing:
+        raise ReductionError(f"{side} family leaves element {min(missing)} uncovered")
+    if len(chosen) > src.budget:
+        raise ReductionError(f"{side} family has {len(chosen)} sets, budget is {src.budget}")
+
+
+def _require_connected_subset(g: VertexWeightedGraph, subset: frozenset, k: int, what: str) -> None:
+    outside = [v for v in subset if not 0 <= v < g.n]
+    if outside:
+        raise ReductionError(f"{what} has vertex {min(outside)} out of range")
+    total = sum(g.vertex_weights[v] for v in subset)
+    if total < k:
+        raise ReductionError(f"{what} weighs {total}, below target {k}")
+    if subset and _bfs(subset, g.edges, min(subset))[0] != subset:
+        raise ReductionError(f"{what} is not connected")
+
+
+def _normalize_tree(inst: SteinerInstance, edges: Iterable) -> tuple[frozenset, tuple]:
+    """The vertices and sorted ``(min, max)`` edges of a Steiner tree of
+    ``inst`` within its budget; raises unless ``edges`` is one."""
+    g = inst.as_graph()
+    tree_edges = []
+    for u, v in edges:
+        if g.edge_id(u, v) is None:
+            raise ReductionError(f"tree edge ({u}, {v}) is not a source edge")
+        tree_edges.append((min(u, v), max(u, v)))
+    if len(set(tree_edges)) != len(tree_edges):
+        raise ReductionError("tree repeats an edge")
+    verts = {x for e in tree_edges for x in e} or set(inst.terminals)
+    if not tree_edges and len(verts) != 1:
+        raise ReductionError("an edgeless tree can only cover a single terminal")
+    if len(tree_edges) != len(verts) - 1:
+        raise ReductionError("edge set is not a tree (wrong edge count)")
+    if _bfs(verts, tree_edges, min(verts))[0] != verts:
+        raise ReductionError("edge set is not a tree (disconnected)")
+    if not inst.terminals <= verts:
+        raise ReductionError(f"tree misses terminal {min(inst.terminals - verts)}")
+    if len(tree_edges) > inst.budget:
+        raise ReductionError(f"tree has {len(tree_edges)} edges, budget is {inst.budget}")
+    return frozenset(verts), tuple(sorted(tree_edges))
+
+
+def _require_connected_matching(inst: LabeledInstance, m: Matching, what: str) -> Matching:
+    if m.graph is not inst.graph and m.graph != inst.graph:
+        raise ReductionError(f"{what} belongs to a different graph")
+    if m.weight < inst.k:
+        raise ReductionError(f"{what} weighs {m.weight}, below target {inst.k}")
+    if not induced_by_matching_connected(inst.graph, m):
+        raise ReductionError(f"{what} is not a connected matching")
+    return m
+
+
+# ---------------------------------------------------------------------------
+# lifting source solutions into certificates
 
 
 def _edge_id(inst: LabeledInstance, label_u: str, label_v: str) -> int:
@@ -24,82 +130,45 @@ def _edge_id(inst: LabeledInstance, label_u: str, label_v: str) -> int:
     return eid
 
 
-def _require_assignment(f: Cnf, assignment: Sequence[bool]) -> None:
-    if len(assignment) != f.num_vars:
-        raise ReductionError(
-            f"assignment has {len(assignment)} values for {f.num_vars} variables"
-        )
-    for ci, clause in enumerate(f.clauses, start=1):
-        if not any((lit > 0) == bool(assignment[abs(lit) - 1]) for lit in clause):
-            raise ReductionError(f"assignment does not satisfy clause {ci}")
+def _lifted_matching(inst: LabeledInstance, pairs) -> Matching:
+    m = Matching(inst.graph, [_edge_id(inst, a, b) for a, b in pairs])
+    return _require_connected_matching(inst, m, "internal error: lifted matching")
 
 
-def _assignment_edges(inst: LabeledInstance, assignment, center_fmt: str, num_vars: int) -> list[int]:
-    out = []
-    for i in range(1, num_vars + 1):
-        side = "+" if assignment[i - 1] else "-"
-        out.append(_edge_id(inst, center_fmt.format(i=i), f"x.{i}{side}"))
-    return out
+def _choice_pairs(assignment, center: str) -> list:
+    return [(center.format(i=i), f"x.{i}{'+' if b else '-'}") for i, b in enumerate(assignment, start=1)]
 
 
-def _vertex_subset_connected(g: VertexWeightedGraph, subset: frozenset) -> bool:
-    if not subset:
-        return True
-    start = next(iter(subset))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in g.adj[v]:
-            if u in subset and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return len(seen) == len(subset)
-
-
-# ---------------------------------------------------------------------------
-# lifting source solutions into certificates
+def _clause_pairs(count: int) -> list:
+    return [(f"c.{ci}+", f"c.{ci}-") for ci in range(1, count + 1)]
 
 
 def lift_certificate(inst: LabeledInstance, source_solution) -> Union[Matching, frozenset]:
     kind = inst.kind
-    if kind == "starlike":
-        return _lift_sat(inst, source_solution, extra=[])
-    if kind == "bip4":
-        return _lift_sat(inst, source_solution, extra=[("h+", "h-")])
-    if kind == "planar-bipartite":
-        return _lift_planar_bipartite(inst, source_solution)
+    if kind in _SAT_KINDS:
+        return _lift_sat(inst, source_solution)
     if kind == "crosscomp":
         return _lift_crosscomp(inst, source_solution)
     if kind == "steiner":
         return _lift_steiner(inst, source_solution)
     if kind == "wcs-wcm":
-        return _lift_wcs_wcm(inst, source_solution)
+        subset = frozenset(source_solution)
+        _require_connected_subset(inst.source, subset, inst.k, "source vertex set")
+        return _lifted_matching(inst, [(f"vert.{w + 1}", f"pair.{w + 1}") for w in subset])
     if kind == "setcover-wcs":
         return _lift_setcover(inst, source_solution)
     raise ReductionError(f"unknown reduction kind {inst.kind!r}")
 
 
-def _lift_sat(inst: LabeledInstance, assignment, extra) -> Matching:
+def _lift_sat(inst: LabeledInstance, assignment) -> Matching:
     f: Cnf = inst.source
-    _require_assignment(f, assignment)
-    eids = _assignment_edges(inst, assignment, "x.{i}", f.num_vars)
-    for ci in range(1, len(f.clauses) + 1):
-        eids.append(_edge_id(inst, f"c.{ci}+", f"c.{ci}-"))
-    for a, bb in extra:
-        eids.append(_edge_id(inst, a, bb))
-    return _checked_matching(inst, eids)
-
-
-def _lift_planar_bipartite(inst: LabeledInstance, assignment) -> Matching:
-    f: Cnf = inst.source
-    _require_assignment(f, assignment)
-    eids = _assignment_edges(inst, assignment, "x.{i}", f.num_vars)
-    for i in range(1, f.num_vars + 1):
-        eids.append(_edge_id(inst, f"v.{i}", f"u.{i}"))
-    for ci in range(1, len(f.clauses) + 1):
-        eids.append(_edge_id(inst, f"c.{ci}+", f"c.{ci}-"))
-    return _checked_matching(inst, eids)
+    _require_satisfying(f, assignment, "source")
+    pairs = _choice_pairs(assignment, "x.{i}") + _clause_pairs(len(f.clauses))
+    if inst.kind == "bip4":
+        pairs.append(("h+", "h-"))
+    elif inst.kind == "planar-bipartite":
+        pairs += [(f"v.{i}", f"u.{i}") for i in range(1, f.num_vars + 1)]
+    return _lifted_matching(inst, pairs)
 
 
 def _lift_crosscomp(inst: LabeledInstance, source_solution) -> Matching:
@@ -110,120 +179,34 @@ def _lift_crosscomp(inst: LabeledInstance, source_solution) -> Matching:
     instances = inst.source
     if not (1 <= ell <= len(instances)):
         raise ReductionError(f"instance index {ell} out of range")
-    _require_assignment(instances[ell - 1], assignment)
-    eids = _assignment_edges(inst, assignment, "x.{i}*", instances[ell - 1].num_vars)
-    cj = 1
-    while inst.has_label(f"c.{cj}+"):
-        eids.append(_edge_id(inst, f"c.{cj}+", f"c.{cj}-"))
-        cj += 1
-    eids.append(_edge_id(inst, "h+", "h-"))
-    eids.append(_edge_id(inst, "q", f"y.{ell}"))
-    return _checked_matching(inst, eids)
-
-
-def _normalize_tree(inst: SteinerInstance, edges: Iterable) -> tuple[frozenset, tuple]:
-    tree_edges = []
-    present = {(min(u, v), max(u, v)) for u, v in inst.edges}
-    for u, v in edges:
-        key = (min(u, v), max(u, v))
-        if key not in present:
-            raise ReductionError(f"tree edge ({u}, {v}) is not a source edge")
-        tree_edges.append(key)
-    if len(set(tree_edges)) != len(tree_edges):
-        raise ReductionError("tree repeats an edge")
-    verts = {x for e in tree_edges for x in e}
-    if not tree_edges:
-        verts = set(inst.terminals)
-        if len(verts) != 1:
-            raise ReductionError("an edgeless tree can only cover a single terminal")
-    if len(tree_edges) != len(verts) - 1:
-        raise ReductionError("edge set is not a tree (wrong edge count)")
-    adj = {v: [] for v in verts}
-    for u, v in tree_edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    start = next(iter(verts))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    if len(seen) != len(verts):
-        raise ReductionError("edge set is not a tree (disconnected)")
-    if not inst.terminals <= verts:
-        missing = min(inst.terminals - verts)
-        raise ReductionError(f"tree misses terminal {missing}")
-    if len(tree_edges) > inst.budget:
-        raise ReductionError(f"tree has {len(tree_edges)} edges, budget is {inst.budget}")
-    return frozenset(verts), tuple(sorted(tree_edges))
+    f = instances[ell - 1]
+    _require_satisfying(f, assignment, "source")
+    nclauses = inst.k - f.num_vars - 2  # k = |C| + |X| + 2 over the clause union C
+    pairs = _choice_pairs(assignment, "x.{i}*") + _clause_pairs(nclauses)
+    return _lifted_matching(inst, pairs + [("h+", "h-"), ("q", f"y.{ell}")])
 
 
 def _lift_steiner(inst: LabeledInstance, source_solution) -> Matching:
     src: SteinerInstance = inst.source
     verts, tree_edges = _normalize_tree(src, source_solution)
     q, p, r, _ = steiner_parameters(src)
-    eids = []
+    pairs = []
     for w in sorted(verts):
-        length = 2 * r if w in src.terminals else 2 * q
-        labels = _cycle_labels(src, w, length)
-        for t in range(0, length, 2):
-            eids.append(_edge_id(inst, labels[t], labels[t + 1]))
+        labels = _cycle_labels(src, w, q, r)
+        pairs += zip(labels[::2], labels[1::2])
     for w, u in tree_edges:
-        path = [f"path.{w + 1}.{u + 1}.{t}" for t in range(2 * p)]
-        for t in range(0, 2 * p, 2):
-            eids.append(_edge_id(inst, path[t], path[t + 1]))
-    return _checked_matching(inst, eids)
-
-
-def _lift_wcs_wcm(inst: LabeledInstance, source_solution) -> Matching:
-    gvw: VertexWeightedGraph = inst.source
-    subset = frozenset(source_solution)
-    for v in subset:
-        if not (0 <= v < gvw.n):
-            raise ReductionError(f"vertex {v} out of range")
-    if not _vertex_subset_connected(gvw, subset):
-        raise ReductionError("source vertex set does not induce a connected subgraph")
-    total = sum(gvw.vertex_weights[v] for v in subset)
-    if total < inst.k:
-        raise ReductionError(f"source vertex set weighs {total}, below target {inst.k}")
-    eids = [_edge_id(inst, f"vert.{w + 1}", f"pair.{w + 1}") for w in sorted(subset)]
-    return _checked_matching(inst, eids)
+        pairs += [(f"path.{w + 1}.{u + 1}.{t}", f"path.{w + 1}.{u + 1}.{t + 1}") for t in range(0, 2 * p, 2)]
+    return _lifted_matching(inst, pairs)
 
 
 def _lift_setcover(inst: LabeledInstance, source_solution) -> frozenset:
     src: SetCoverInstance = inst.source
-    chosen = sorted(set(source_solution))
-    for j in chosen:
-        if not (0 <= j < len(src.sets)):
-            raise ReductionError(f"set index {j} out of range")
-    covered = set().union(*(src.sets[j] for j in chosen)) if chosen else set()
-    if covered != set(range(src.universe_size)):
-        missing = min(set(range(src.universe_size)) - covered)
-        raise ReductionError(f"element {missing} is not covered")
-    if len(chosen) > src.budget:
-        raise ReductionError(f"{len(chosen)} sets exceed the budget {src.budget}")
-    verts = {inst.vertex("h+")}
-    for u in range(1, src.universe_size + 1):
-        verts.add(inst.vertex(f"x.{u}"))
-    for j in chosen:
-        verts.add(inst.vertex(f"c.{j + 1}+"))
-    subset = frozenset(verts)
-    total = sum(inst.graph.vertex_weights[v] for v in subset)
-    if total < inst.k or not _vertex_subset_connected(inst.graph, subset):
-        raise ReductionError("internal error: lifted subgraph certificate is invalid")
+    chosen = frozenset(source_solution)
+    _require_cover(src, chosen, "source")
+    labels = ["h+"] + [f"x.{u}" for u in range(1, src.universe_size + 1)] + [f"c.{j + 1}+" for j in chosen]
+    subset = frozenset(map(inst.vertex, labels))
+    _require_connected_subset(inst.graph, subset, inst.k, "internal error: lifted vertex set")
     return subset
-
-
-def _checked_matching(inst: LabeledInstance, eids) -> Matching:
-    m = Matching(inst.graph, eids)
-    if m.weight < inst.k:
-        raise ReductionError(f"internal error: lifted matching weighs {m.weight} < k={inst.k}")
-    if not induced_by_matching_connected(inst.graph, m):
-        raise ReductionError("internal error: lifted matching is not connected")
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -232,9 +215,12 @@ def _checked_matching(inst: LabeledInstance, eids) -> Matching:
 
 def project_certificate(inst: LabeledInstance, certificate):
     kind = inst.kind
-    if kind in ("starlike", "bip4", "planar-bipartite"):
-        m = _checked_certificate(inst, certificate)
-        return _project_assignment(inst, inst.source, m)
+    if kind in _SAT_KINDS:
+        m = _require_connected_matching(inst, certificate, "certificate")
+        f: Cnf = inst.source
+        assignment = tuple(inst.vertex(f"x.{i}+") in m.vertices for i in range(1, f.num_vars + 1))
+        _require_satisfying(f, assignment, "projected")
+        return assignment
     if kind == "crosscomp":
         return _project_crosscomp(inst, certificate)
     if kind == "steiner":
@@ -246,81 +232,38 @@ def project_certificate(inst: LabeledInstance, certificate):
     raise ReductionError(f"unknown reduction kind {inst.kind!r}")
 
 
-def _checked_certificate(inst: LabeledInstance, m: Matching) -> Matching:
-    if m.graph != inst.graph:
-        raise ReductionError("certificate belongs to a different graph")
-    if m.weight < inst.k:
-        raise ReductionError(f"certificate weighs {m.weight}, below target {inst.k}")
-    if not induced_by_matching_connected(inst.graph, m):
-        raise ReductionError("certificate is not a connected matching")
-    return m
-
-
-def _project_assignment(inst: LabeledInstance, f: Cnf, m: Matching) -> tuple:
-    assignment = tuple(
-        inst.vertex(f"x.{i}+") in m.vertices for i in range(1, f.num_vars + 1)
-    )
-    _require_assignment(f, assignment)
-    return assignment
-
-
 def _project_crosscomp(inst: LabeledInstance, certificate) -> tuple:
-    m = _checked_certificate(inst, certificate)
+    ids = set(_require_connected_matching(inst, certificate, "certificate").edge_ids)
     instances = inst.source
-    vq = inst.vertex("q")
-    ell = None
-    for ell_try in range(1, len(instances) + 1):
-        eid = inst.graph.edge_id(vq, inst.vertex(f"y.{ell_try}"))
-        if eid is not None and eid in m.edge_ids:
-            ell = ell_try
-            break
+    ell = next((ell for ell in range(1, len(instances) + 1) if _edge_id(inst, "q", f"y.{ell}") in ids), None)
     if ell is None:
         raise ReductionError("certificate does not match the selector hub to any leaf")
     assignment = tuple(
-        inst.graph.edge_id(inst.vertex(f"x.{i}*"), inst.vertex(f"x.{i}+")) in m.edge_ids
-        for i in range(1, instances[0].num_vars + 1)
+        _edge_id(inst, f"x.{i}*", f"x.{i}+") in ids for i in range(1, instances[0].num_vars + 1)
     )
-    _require_assignment(instances[ell - 1], assignment)
+    _require_satisfying(instances[ell - 1], assignment, "projected")
     return assignment, ell
 
 
 def _project_steiner(inst: LabeledInstance, certificate) -> tuple[frozenset, tuple]:
-    m = _checked_certificate(inst, certificate)
+    saturated = _require_connected_matching(inst, certificate, "certificate").vertices
     src: SteinerInstance = inst.source
     q, p, r, _ = steiner_parameters(src)
-    touched = set()
-    for w in range(src.n):
-        length = 2 * r if w in src.terminals else 2 * q
-        labels = _cycle_labels(src, w, length)
-        if any(inst.vertex(lab) in m.vertices for lab in labels):
-            touched.add(w)
-    tree_edges = []
-    for w, u in src.edges:
-        path = [f"path.{w + 1}.{u + 1}.{t}" for t in range(2 * p)]
-        if all(inst.vertex(lab) in m.vertices for lab in path):
-            tree_edges.append((w, u))
+    touched = {
+        w for w in range(src.n) if any(inst.vertex(lab) in saturated for lab in _cycle_labels(src, w, q, r))
+    }
     missing = src.terminals - touched
     if missing:
         raise ReductionError(f"certificate leaves terminal {min(missing)} untouched")
-    # the saturated paths may close cycles; keep a spanning forest restricted
-    # to touched vertices, then check it is a single tree over them
-    adj = {v: [] for v in touched}
-    for w, u in tree_edges:
-        if w in touched and u in touched:
-            adj[w].append(u)
-            adj[u].append(w)
-    start = min(touched)
-    seen = {start}
-    queue = deque([start])
-    kept = []
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                kept.append((min(x, y), max(x, y)))
-                queue.append(y)
-    if seen != touched:
+    paths = [
+        (w, u)
+        for w, u in src.edges
+        if all(inst.vertex(f"path.{w + 1}.{u + 1}.{t}") in saturated for t in range(2 * p))
+    ]
+    # the saturated paths may close cycles; keep a spanning tree of the ones
+    # between touched vertices, which must reach all of them
+    reached, kept = _bfs(touched, paths, min(touched))
+    if reached != touched:
         raise ReductionError("touched replacement cycles are not tree-connected")
     if len(kept) > src.budget:
         raise ReductionError(f"certificate spends {len(kept)} edges, budget is {src.budget}")
@@ -328,41 +271,17 @@ def _project_steiner(inst: LabeledInstance, certificate) -> tuple[frozenset, tup
 
 
 def _project_wcs_wcm(inst: LabeledInstance, certificate) -> frozenset:
-    m = _checked_certificate(inst, certificate)
+    ids = set(_require_connected_matching(inst, certificate, "certificate").edge_ids)
     gvw: VertexWeightedGraph = inst.source
-    subset = set()
-    for w in range(gvw.n):
-        eid = inst.graph.edge_id(inst.vertex(f"vert.{w + 1}"), inst.vertex(f"pair.{w + 1}"))
-        if eid in m.edge_ids:
-            subset.add(w)
-    subset = frozenset(subset)
-    total = sum(gvw.vertex_weights[v] for v in subset)
-    if total < inst.k:
-        raise ReductionError(f"projected vertex set weighs {total}, below target {inst.k}")
-    if not _vertex_subset_connected(gvw, subset):
-        raise ReductionError("projected vertex set is not connected in the source graph")
+    subset = frozenset(w for w in range(gvw.n) if _edge_id(inst, f"vert.{w + 1}", f"pair.{w + 1}") in ids)
+    _require_connected_subset(gvw, subset, inst.k, "projected vertex set")
     return subset
 
 
 def _project_setcover(inst: LabeledInstance, certificate) -> frozenset:
     subset = frozenset(certificate)
-    g: VertexWeightedGraph = inst.graph
-    for v in subset:
-        if not (0 <= v < g.n):
-            raise ReductionError(f"vertex {v} out of range")
-    total = sum(g.vertex_weights[v] for v in subset)
-    if total < inst.k:
-        raise ReductionError(f"certificate weighs {total}, below target {inst.k}")
-    if not _vertex_subset_connected(g, subset):
-        raise ReductionError("certificate is not connected")
+    _require_connected_subset(inst.graph, subset, inst.k, "certificate")
     src: SetCoverInstance = inst.source
-    chosen = frozenset(
-        j for j in range(len(src.sets)) if inst.vertex(f"c.{j + 1}+") in subset
-    )
-    covered = set().union(*(src.sets[j] for j in chosen)) if chosen else set()
-    if covered != set(range(src.universe_size)):
-        missing = min(set(range(src.universe_size)) - covered)
-        raise ReductionError(f"projected family leaves element {missing} uncovered")
-    if len(chosen) > src.budget:
-        raise ReductionError(f"projected family has {len(chosen)} sets, budget {src.budget}")
+    chosen = frozenset(j for j in range(len(src.sets)) if inst.vertex(f"c.{j + 1}+") in subset)
+    _require_cover(src, chosen, "projected")
     return chosen

@@ -89,9 +89,11 @@ def steiner_parameters(inst: SteinerInstance) -> tuple[int, int, int, int]:
     return q, p, r, k
 
 
-def _cycle_labels(inst: SteinerInstance, w: int, length: int) -> list[str]:
-    """Labels around vertex w's replacement cycle, with one connector slot
-    per neighbor at evenly spaced positions."""
+def _cycle_labels(inst: SteinerInstance, w: int, q: int, r: int) -> list[str]:
+    """Labels around vertex w's replacement cycle (2r long for a terminal,
+    2q otherwise), with one connector slot per neighbor at evenly spaced
+    positions."""
+    length = 2 * r if w in inst.terminals else 2 * q
     nbrs = inst.neighbors(w)
     labels = [f"cyc.{w + 1}.{t}" for t in range(length)]
     if nbrs:
@@ -118,8 +120,8 @@ def gen_planar_subcubic(inst: SteinerInstance) -> LabeledInstance:
     q, p, r, k = steiner_parameters(inst)
     b = InstanceBuilder()
     for w in range(inst.n):
-        length = 2 * r if w in inst.terminals else 2 * q
-        labels = _cycle_labels(inst, w, length)
+        labels = _cycle_labels(inst, w, q, r)
+        length = len(labels)
         if length >= 3:
             for t in range(length):
                 b.edge(labels[t], labels[(t + 1) % length], 1)
@@ -191,12 +193,7 @@ def gen_crosscomp(instances: list[Cnf]) -> LabeledInstance:
         f.require_three_sat()
     t = len(instances)
 
-    all_clauses: list[tuple] = []
-    for f in instances:
-        for clause in f.clauses:
-            key = _canon_clause(clause)
-            if key not in all_clauses:
-                all_clauses.append(key)
+    all_clauses = list(dict.fromkeys(_canon_clause(c) for f in instances for c in f.clauses))
     member = [frozenset(_canon_clause(c) for c in f.clauses) for f in instances]
 
     b = InstanceBuilder()
@@ -224,25 +221,24 @@ def gen_crosscomp(instances: list[Cnf]) -> LabeledInstance:
     return LabeledInstance(b.graph(), k, b.labels, "crosscomp", tuple(instances))
 
 
+def wcs_blocking_weight(gvw: VertexWeightedGraph) -> int:
+    """The -q pricing used by :func:`gen_wcs_to_wcm` for adjacency edges."""
+    return 1 + sum(w for w in gvw.vertex_weights if w > 0)
+
+
 def gen_wcs_to_wcm(gvw: VertexWeightedGraph, budget: int) -> LabeledInstance:
     """Vertex-weighted connected subgraph to connected matching; k = k'.
 
     Each vertex becomes a pendant pair whose edge carries the vertex weight;
     original adjacencies become edges of weight -q, too costly to ever match.
     """
-    q = 1 + sum(w for w in gvw.vertex_weights if w > 0)
+    q = wcs_blocking_weight(gvw)
     b = InstanceBuilder()
     for w in range(gvw.n):
         b.edge(f"vert.{w + 1}", f"pair.{w + 1}", gvw.vertex_weights[w])
     for x, y in gvw.edges:
         b.edge(f"vert.{x + 1}", f"vert.{y + 1}", -q)
-    out = LabeledInstance(b.graph(), budget, b.labels, "wcs-wcm", gvw)
-    return out
-
-
-def wcs_blocking_weight(gvw: VertexWeightedGraph) -> int:
-    """The -q pricing used by :func:`gen_wcs_to_wcm` for adjacency edges."""
-    return 1 + sum(w for w in gvw.vertex_weights if w > 0)
+    return LabeledInstance(b.graph(), budget, b.labels, "wcs-wcm", gvw)
 
 
 def gen_setcover_to_wcs(inst: SetCoverInstance) -> LabeledInstance:
@@ -256,34 +252,15 @@ def gen_setcover_to_wcs(inst: SetCoverInstance) -> LabeledInstance:
     q = inst.universe_size
     p = len(inst.sets)
     heavy = p + 1
-    labels: dict[int, str] = {}
-    ids: dict[str, int] = {}
-
-    def vertex(label: str) -> int:
-        if label not in ids:
-            ids[label] = len(ids)
-            labels[ids[label]] = label
-        return ids[label]
-
-    weights = []
-
-    def add(label: str, w: int) -> int:
-        v = vertex(label)
-        while len(weights) <= v:
-            weights.append(0)
-        weights[v] = w
-        return v
-
-    hub = add("h+", heavy)
-    for j in range(1, p + 1):
-        add(f"c.{j}+", -1)
-    for u in range(1, q + 1):
-        add(f"x.{u}", heavy)
+    # hub 0, member sets 1..p, elements p+1..p+q
+    labels = {0: "h+"}
+    labels.update((j, f"c.{j}+") for j in range(1, p + 1))
+    labels.update((p + u, f"x.{u}") for u in range(1, q + 1))
+    weights = [heavy] + [-1] * p + [heavy] * q
     edges = []
     for j, members in enumerate(inst.sets, start=1):
-        edges.append((hub, vertex(f"c.{j}+")))
-        for u in members:
-            edges.append((vertex(f"x.{u + 1}"), vertex(f"c.{j}+")))
-    graph = VertexWeightedGraph(len(ids), edges, weights)
+        edges.append((0, j))
+        edges.extend((p + 1 + u, j) for u in members)
+    graph = VertexWeightedGraph(p + q + 1, edges, weights)
     k = (q + 1) * (p + 1) - inst.budget
     return LabeledInstance(graph, k, labels, "setcover-wcs", inst)

@@ -1,4 +1,12 @@
-"""Source-problem instance types and generated-instance containers."""
+"""Source-problem instance types and generated-instance containers.
+
+Each source type validates itself on construction. :meth:`Cnf.unsatisfied_clause`
+is the one clause-satisfaction loop: both translation directions of
+:mod:`connmatch.reductions.certificates` check assignments through it, and
+:meth:`Cnf.satisfied_by` is its yes/no form. A :class:`SteinerInstance` is
+validated through the graph it builds once, which also answers its
+neighbour queries; a :class:`LabeledInstance` indexes its labels once.
+"""
 
 from __future__ import annotations
 
@@ -43,13 +51,17 @@ class Cnf:
                 return i + 1
         return None
 
-    def satisfied_by(self, assignment: Sequence[bool]) -> bool:
+    def unsatisfied_clause(self, assignment: Sequence[bool]) -> Optional[int]:
+        """1-based index of the first clause ``assignment`` leaves unsatisfied, or None."""
         if len(assignment) != self.num_vars:
-            raise ReductionError("assignment length differs from variable count")
-        for clause in self.clauses:
+            raise ReductionError(f"assignment has {len(assignment)} values for {self.num_vars} variables")
+        for ci, clause in enumerate(self.clauses, start=1):
             if not any((lit > 0) == bool(assignment[abs(lit) - 1]) for lit in clause):
-                return False
-        return True
+                return ci
+        return None
+
+    def satisfied_by(self, assignment: Sequence[bool]) -> bool:
+        return self.unsatisfied_clause(assignment) is None
 
 
 @dataclass(frozen=True)
@@ -60,16 +72,14 @@ class SteinerInstance:
     edges: tuple  # (u, v) pairs, 0-based
     terminals: frozenset
     budget: int
+    _graph: WeightedGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n) or u == v:
-                raise ReductionError(f"bad edge ({u}, {v})")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ReductionError(f"parallel edge ({u}, {v})")
-            seen.add(key)
+        try:
+            graph = WeightedGraph(self.n, [(u, v, 0) for u, v in self.edges])
+        except GraphError as exc:
+            raise ReductionError(str(exc)) from None
+        object.__setattr__(self, "_graph", graph)
         for t in self.terminals:
             if not (0 <= t < self.n):
                 raise ReductionError(f"terminal {t} out of range")
@@ -79,16 +89,11 @@ class SteinerInstance:
         return SteinerInstance(n, tuple((min(u, v), max(u, v)) for u, v in edges), frozenset(terminals), budget)
 
     def as_graph(self) -> WeightedGraph:
-        return WeightedGraph(self.n, [(u, v, 0) for u, v in self.edges])
+        """The source graph with zero edge weights, built once."""
+        return self._graph
 
     def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return sorted(out)
+        return sorted(self._graph.neighbors(v))
 
 
 @dataclass(frozen=True)
@@ -126,27 +131,21 @@ class LabeledInstance:
     labels: dict  # vertex id -> label string
     kind: str
     source: object = None
-    _by_label: dict = field(default=None, repr=False)
+    _by_label: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.graph.n
         if sorted(self.labels) != list(range(n)):
             raise ReductionError("every vertex must carry exactly one label")
-        if len(set(self.labels.values())) != n:
+        self._by_label = {lab: v for v, lab in self.labels.items()}
+        if len(self._by_label) != n:
             raise ReductionError("labels must be injective")
 
     def vertex(self, label: str) -> int:
-        if self._by_label is None:
-            self._by_label = {lab: v for v, lab in self.labels.items()}
         try:
             return self._by_label[label]
         except KeyError:
             raise ReductionError(f"no vertex labeled {label!r}") from None
-
-    def has_label(self, label: str) -> bool:
-        if self._by_label is None:
-            self._by_label = {lab: v for v, lab in self.labels.items()}
-        return label in self._by_label
 
 
 class InstanceBuilder:

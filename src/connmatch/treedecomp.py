@@ -12,7 +12,6 @@ bag size plus the number of edges.
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Iterable, NamedTuple, Optional
 
 from .graphs import GraphError, WeightedGraph, is_connected
@@ -38,14 +37,30 @@ class TreeDecomposition(NamedTuple):
         )
 
 
-def _bag_tree_adjacency(td: TreeDecomposition) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in td.bags]
+def _bag_tree_order(td: TreeDecomposition, root: int) -> tuple[list[int], list[int]]:
+    """Breadth-first order of the bag tree from bag ``root``, and each bag's
+    parent (``root`` is its own). Raises :class:`TdError` unless the bags and
+    ``tree_edges`` form a tree."""
+    nbags = len(td.bags)
+    adj: list[list[int]] = [[] for _ in range(nbags)]
     for i, j in td.tree_edges:
-        if not (0 <= i < len(td.bags) and 0 <= j < len(td.bags)) or i == j:
+        if not (0 <= i < nbags and 0 <= j < nbags) or i == j:
             raise TdError(f"bag-tree edge ({i}, {j}) is out of range or a loop")
         adj[i].append(j)
         adj[j].append(i)
-    return adj
+    if len(td.tree_edges) != nbags - 1:
+        raise TdError(f"bag graph is not a tree: {nbags} bags, {len(td.tree_edges)} edges")
+    parent = [-1] * nbags
+    parent[root] = root
+    order = [root]
+    for i in order:  # order grows while it is read, as the BFS queue
+        for j in adj[i]:
+            if parent[j] < 0:
+                parent[j] = i
+                order.append(j)
+    if len(order) != nbags:
+        raise TdError("bag graph is not a tree: disconnected")
+    return order, parent
 
 
 def validate_td(g: WeightedGraph, td: TreeDecomposition) -> int:
@@ -53,27 +68,11 @@ def validate_td(g: WeightedGraph, td: TreeDecomposition) -> int:
 
     Failures raise :class:`TdError` naming the violated axiom and a witness.
     """
-    nbags = len(td.bags)
-    if nbags == 0:
+    if not td.bags:
         raise TdError("decomposition has no bags")
-    adj = _bag_tree_adjacency(td)
-    if len(td.tree_edges) != nbags - 1:
-        raise TdError(f"bag graph is not a tree: {nbags} bags, {len(td.tree_edges)} edges")
-    seen = [False] * nbags
-    seen[0] = True
-    queue = deque([0])
-    count = 1
-    while queue:
-        i = queue.popleft()
-        for j in adj[i]:
-            if not seen[j]:
-                seen[j] = True
-                count += 1
-                queue.append(j)
-    if count != nbags:
-        raise TdError("bag graph is not a tree: disconnected")
+    _bag_tree_order(td, 0)
 
-    covered = set().union(*td.bags) if td.bags else set()
+    covered = set().union(*td.bags)
     for v in range(g.n):
         if v not in covered:
             raise TdError(f"vertex coverage fails: vertex {v} is in no bag")
@@ -228,19 +227,7 @@ def make_nice(td: TreeDecomposition, pi: int) -> NiceTreeDecomposition:
         raise TdError(f"vertex {pi} appears in no bag")
     root_bag = holders[0]
 
-    adj = _bag_tree_adjacency(td)
-    parent = {root_bag: root_bag}
-    order = [root_bag]
-    queue = deque([root_bag])
-    while queue:
-        i = queue.popleft()
-        for j in adj[i]:
-            if j not in parent:
-                parent[j] = i
-                order.append(j)
-                queue.append(j)
-    if len(order) != len(td.bags):
-        raise TdError("bag graph is not a tree: disconnected")
+    order, parent = _bag_tree_order(td, root_bag)
     children: dict[int, list[int]] = {i: [] for i in order}
     for i in order[1:]:
         children[parent[i]].append(i)

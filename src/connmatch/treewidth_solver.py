@@ -50,7 +50,7 @@ from .partitions import (
     reduce_entries,
     trace_edges,
 )
-from .treedecomp import NiceNode, NiceTreeDecomposition, TreeDecomposition, make_nice, validate_td
+from .treedecomp import NiceNode, NiceTreeDecomposition, TreeDecomposition, heuristic_td, make_nice, validate_td
 
 # the join reduces a cell as it grows once it holds this many times the bound
 JOIN_SLACK = 4
@@ -260,8 +260,6 @@ def solve_treewidth(
     if not is_connected(g):
         raise GraphError("treewidth solver expects a connected graph")
     if td is None:
-        from .treedecomp import heuristic_td
-
         td = heuristic_td(g)
     validate_td(g, td)
 

@@ -14,6 +14,18 @@ from typing import Optional
 
 from connmatch.graphs import Matching, VertexWeightedGraph, WeightedGraph
 from connmatch.oracle import OracleError, OracleResult
+from connmatch.reductions import (
+    Cnf,
+    SetCoverInstance,
+    SteinerInstance,
+    gen_bip4,
+    gen_crosscomp,
+    gen_planar_bipartite,
+    gen_planar_subcubic,
+    gen_setcover_to_wcs,
+    gen_starlike,
+    gen_wcs_to_wcm,
+)
 
 
 def path_graph(weights):
@@ -211,3 +223,128 @@ def brute_is_chordal(g: WeightedGraph) -> bool:
                 if is_connected(sub):
                     return False
     return True
+
+
+# -- reduction sources with a planted solution --------------------------------
+
+
+def _satisfied(clause, assignment) -> bool:
+    return any((lit > 0) == assignment[abs(lit) - 1] for lit in clause)
+
+
+def planted_3sat(rng: random.Random, nvars: int, nclauses: int, assignment) -> Cnf:
+    clauses = []
+    while len(clauses) < nclauses:
+        clause = tuple(rng.choice([-1, 1]) * rng.randint(1, nvars) for _ in range(3))
+        if _satisfied(clause, assignment):
+            clauses.append(clause)
+    return Cnf.build(nvars, clauses)
+
+
+def planted_monotone(rng: random.Random, nvars: int, nclauses: int, assignment) -> Cnf:
+    clauses = []
+    while len(clauses) < nclauses:
+        sign = rng.choice([-1, 1])
+        clause = tuple(sign * rng.randint(1, nvars) for _ in range(3))
+        if _satisfied(clause, assignment):
+            clauses.append(clause)
+    return Cnf.build(nvars, clauses)
+
+
+def random_assignment(rng: random.Random, nvars: int) -> tuple:
+    return tuple(rng.random() < 0.5 for _ in range(nvars))
+
+
+def random_steiner(rng: random.Random):
+    """A connected source graph and a Steiner tree: a spanning tree with its
+    non-terminal leaves pruned away."""
+    n = rng.randint(2, 5)
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    extra = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in tree]
+    rng.shuffle(extra)
+    edges = tree + extra[: rng.randint(0, 2)]
+    terminals = set(rng.sample(range(n), rng.randint(1, n)))
+    kept = list(tree)
+    while True:
+        degree = [0] * n
+        for u, v in kept:
+            degree[u] += 1
+            degree[v] += 1
+        leaves = {x for x in range(n) if degree[x] == 1 and x not in terminals}
+        if not leaves:
+            break
+        kept = [(u, v) for u, v in kept if u not in leaves and v not in leaves]
+    budget = len(kept) + rng.randint(0, 1)
+    return SteinerInstance.build(n, edges, terminals, budget), kept
+
+
+def random_wcs(rng: random.Random):
+    """A vertex-weighted graph and a connected vertex set grown from one vertex."""
+    n = rng.randint(1, 8)
+    edges = set()
+    for _ in range(rng.randint(0, 2 * n) if n >= 2 else 0):
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    weights = [rng.randint(-5, 5) for _ in range(n)]
+    g = VertexWeightedGraph(n, sorted(edges), weights)
+    subset = {rng.randrange(n)}
+    for _ in range(rng.randint(0, n)):
+        frontier = sorted({u for v in subset for u in g.adj[v]} - subset)
+        if frontier:
+            subset.add(rng.choice(frontier))
+    target = sum(weights[v] for v in subset) - rng.randint(0, 2)
+    return g, target, subset
+
+
+def random_setcover(rng: random.Random):
+    """A set cover instance and a cover taken greedily in a random order."""
+    q = rng.randint(1, 6)
+    sets = [set(rng.sample(range(q), rng.randint(1, q))) for _ in range(rng.randint(1, 5))]
+    for e in range(q):
+        if not any(e in s for s in sets):
+            rng.choice(sets).add(e)
+    order = list(range(len(sets)))
+    rng.shuffle(order)
+    chosen, covered = [], set()
+    for j in order:
+        if covered == set(range(q)):
+            break
+        if not sets[j] <= covered:
+            chosen.append(j)
+            covered |= sets[j]
+    budget = len(chosen) + rng.randint(0, 1)
+    return SetCoverInstance.build(q, sets, budget), chosen
+
+
+def planted_source(kind: str, rng: random.Random):
+    """A random source for generator ``kind`` with a planted solution, as
+    ``(generated instance, solution)``. Set-cover solutions list the sets in
+    the order the greedy cover took them, so the last one covers an element
+    no earlier one does."""
+    if kind in ("starlike", "bip4"):
+        gen = gen_starlike if kind == "starlike" else gen_bip4
+        nvars = rng.randint(1, 5)
+        a = random_assignment(rng, nvars)
+        return gen(planted_3sat(rng, nvars, rng.randint(0, 6), a)), a
+    if kind == "planar-bipartite":
+        nvars = rng.randint(1, 5)
+        a = random_assignment(rng, nvars)
+        return gen_planar_bipartite(planted_monotone(rng, nvars, rng.randint(0, 6), a)), a
+    if kind == "crosscomp":
+        nvars = rng.randint(1, 4)
+        t = rng.randint(1, 4)
+        ell = rng.randint(1, t)
+        a = random_assignment(rng, nvars)
+        fs = [
+            planted_3sat(rng, nvars, rng.randint(0, 4), a if i == ell else random_assignment(rng, nvars))
+            for i in range(1, t + 1)
+        ]
+        return gen_crosscomp(fs), (a, ell)
+    if kind == "steiner":
+        src, tree = random_steiner(rng)
+        return gen_planar_subcubic(src), tree
+    if kind == "wcs-wcm":
+        g, target, subset = random_wcs(rng)
+        return gen_wcs_to_wcm(g, target), subset
+    src, chosen = random_setcover(rng)
+    return gen_setcover_to_wcs(src), chosen

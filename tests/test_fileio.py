@@ -139,6 +139,22 @@ class TestTdFormat:
             fileio.parse_td_text("s td 1 2 2\nb\n")
 
 
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        (fileio.parse_cnf_text, "p cnf 2 1\n1 2 0\np cnf 3 1\n", 3),
+        (fileio.parse_wcs_text, "p wcs 1 0\nv 1 5\np wcs 1 0\nv 1 7\n", 3),
+        (fileio.parse_td_text, "s td 1 2 2\nb 1 1 2\ns td 1 1 1\n", 3),
+        (fileio.parse_steiner_text, "p steiner 2 1\ne 1 2\nt 1\nk 1\np steiner 2 0\n", 5),
+        (fileio.parse_setcover_text, "p setcover 1 1\np setcover 0 1\ns 1\nk 1\n", 2),
+    ],
+    ids=["cnf", "wcs", "td", "steiner", "setcover"],
+)
+def test_second_header_is_rejected(parse, text, line):
+    with pytest.raises(FormatError, match=f"^line {line}: duplicate header$"):
+        parse(text)
+
+
 class TestNonUtf8:
     @pytest.mark.parametrize(
         "parse, data, line",

@@ -1,9 +1,19 @@
 import random
+import time
 from itertools import combinations, product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from connmatch.graphs import VertexWeightedGraph, classify, diameter, induced_by_matching_connected
+from connmatch.graphs import (
+    GraphError,
+    Matching,
+    VertexWeightedGraph,
+    classify,
+    diameter,
+    induced_by_matching_connected,
+)
 from connmatch.oracle import brute_mwcm, brute_wcs
 from connmatch.reductions import (
     Cnf,
@@ -23,6 +33,7 @@ from connmatch.reductions import (
     wcs_blocking_weight,
 )
 from connmatch.treewidth_solver import solve_treewidth
+from conftest import planted_source
 
 REFERENCE_FORMULA = Cnf.build(5, [(1, -2, -4), (1, -3, 5), (-1, -2, 4), (2, 3, 5)])
 REFERENCE_MONOTONE = Cnf.build(5, [(1, 2, 5), (2, 3, 4), (-2, -4, -5)])
@@ -429,3 +440,145 @@ class TestLiftProjectRoundTrips:
         family = project_certificate(out, subset)
         assert set().union(*(sc.sets[j] for j in family)) == {0, 1, 2}
         assert len(family) <= sc.budget
+
+
+KINDS = ("starlike", "bip4", "planar-bipartite", "steiner", "crosscomp", "wcs-wcm", "setcover-wcs")
+SAT_GENERATORS = {"starlike": gen_starlike, "bip4": gen_bip4, "planar-bipartite": gen_planar_bipartite}
+RANDOMS = st.randoms(use_true_random=True)
+SEEDED = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+
+
+def _normalized(kind, solution):
+    """A source solution in the form ``project_certificate`` returns it
+    (Steiner trees aside)."""
+    if kind in SAT_GENERATORS:
+        return tuple(solution)
+    if kind == "crosscomp":
+        return tuple(solution[0]), solution[1]
+    return frozenset(solution)
+
+
+def _true_clause(rng, assignment, monotone: bool) -> tuple:
+    """Three literals that ``assignment`` makes true, so its complement makes all false."""
+    if not monotone:
+        return tuple(v if assignment[v - 1] else -v for v in (rng.randint(1, len(assignment)) for _ in range(3)))
+    sign = 1 if any(assignment) else -1
+    pool = [v for v in range(1, len(assignment) + 1) if assignment[v - 1] == (sign > 0)]
+    return tuple(sign * rng.choice(pool) for _ in range(3))
+
+
+class TestBothDirectionsReject:
+    """Valid source solutions round-trip through lift and project; invalid
+    sources and certificates raise ReductionError or GraphError, never
+    another exception, naming the side that failed."""
+
+    @SEEDED
+    @given(st.sampled_from(KINDS), RANDOMS)
+    def test_valid_solutions_round_trip(self, kind, rng):
+        inst, solution = planted_source(kind, rng)
+        back = project_certificate(inst, lift_certificate(inst, solution))
+        if kind == "steiner":
+            assert back == (frozenset({x for e in solution for x in e} or inst.source.terminals), tuple(sorted(solution)))
+        else:
+            assert back == _normalized(kind, solution)
+
+    @SEEDED
+    @given(st.sampled_from(("starlike", "bip4", "planar-bipartite", "crosscomp")), RANDOMS)
+    def test_unsatisfied_clause(self, kind, rng):
+        inst, solution = planted_source(kind, rng)
+        if kind == "crosscomp":
+            a, ell = solution
+            fs = list(inst.source)
+            fs[ell - 1] = Cnf.build(len(a), fs[ell - 1].clauses + (_true_clause(rng, a, False),))
+            bad, flipped = gen_crosscomp(fs), (tuple(not b for b in a), ell)
+        else:
+            f = inst.source
+            clause = _true_clause(rng, solution, kind == "planar-bipartite")
+            bad = SAT_GENERATORS[kind](Cnf.build(f.num_vars, f.clauses + (clause,)))
+            flipped = tuple(not b for b in solution)
+        with pytest.raises(ReductionError, match="^source assignment does not satisfy clause"):
+            lift_certificate(bad, flipped)
+
+    @SEEDED
+    @given(RANDOMS)
+    def test_uncovered_element_and_set_over_budget(self, rng):
+        inst, chosen = planted_source("setcover-wcs", rng)
+        src = inst.source
+        with pytest.raises(ReductionError, match="^source family leaves element"):
+            lift_certificate(inst, chosen[:-1])
+        tight = gen_setcover_to_wcs(SetCoverInstance.build(src.universe_size, src.sets, len(chosen) - 1))
+        with pytest.raises(ReductionError, match="^source family has"):
+            lift_certificate(tight, chosen)
+
+    @SEEDED
+    @given(RANDOMS)
+    def test_disconnected_and_underweight_subsets(self, rng):
+        inst, subset = planted_source("wcs-wcm", rng)
+        g = inst.source
+        weight = sum(g.vertex_weights[v] for v in subset)
+        with pytest.raises(ReductionError, match="^source vertex set weighs"):
+            lift_certificate(gen_wcs_to_wcm(g, weight + 1), subset)
+        apart = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if v not in g.adj[u]]
+        assume(apart)
+        pair = set(rng.choice(apart))
+        pair_weight = sum(g.vertex_weights[v] for v in pair)
+        with pytest.raises(ReductionError, match="^source vertex set is not connected"):
+            lift_certificate(gen_wcs_to_wcm(g, pair_weight), pair)
+
+    @SEEDED
+    @given(RANDOMS)
+    def test_tree_missing_a_terminal(self, rng):
+        inst, tree = planted_source("steiner", rng)
+        src = inst.source
+        assume(tree)
+        # a new terminal hangs off vertex 0, outside the tree
+        wider = SteinerInstance.build(src.n + 1, src.edges + ((0, src.n),), src.terminals | {src.n}, src.budget + 1)
+        with pytest.raises(ReductionError, match=f"^tree misses terminal {src.n}$"):
+            lift_certificate(gen_planar_subcubic(wider), tree)
+
+    @SEEDED
+    @given(st.sampled_from(KINDS), RANDOMS)
+    def test_certificate_of_another_graph(self, kind, rng):
+        inst, solution = planted_source(kind, rng)
+        other, other_solution = planted_source(kind, rng)
+        cert = lift_certificate(other, other_solution)
+        if kind == "setcover-wcs":
+            # a vertex set of the other graph, numbered past this one's vertices
+            cert = frozenset(v + inst.graph.n for v in cert)
+            with pytest.raises(ReductionError, match="^certificate has vertex .* out of range$"):
+                project_certificate(inst, cert)
+        else:
+            assume(other.graph != inst.graph)
+            with pytest.raises(ReductionError, match="^certificate belongs to a different graph$"):
+                project_certificate(inst, cert)
+
+    @SEEDED
+    @given(st.sampled_from(KINDS), RANDOMS)
+    def test_corrupted_certificates(self, kind, rng):
+        """Toggling one edge (or vertex) of a lifted certificate either gives
+        a certificate that projects to a solution the lift accepts, or an
+        error of the library's own types."""
+        inst, solution = planted_source(kind, rng)
+        cert = lift_certificate(inst, solution)
+        try:
+            if isinstance(cert, frozenset):
+                cert = cert ^ {rng.randrange(inst.graph.n + 2)}
+            else:
+                cert = Matching(inst.graph, set(cert.edge_ids) ^ {rng.randrange(inst.graph.m)})
+            back = project_certificate(inst, cert)
+        except (ReductionError, GraphError):
+            return
+        lift_certificate(inst, back[1] if kind == "steiner" else back)
+
+
+def test_wcs_projection_is_linear():
+    """The projection looks each pendant edge up in a set of the
+    certificate's edge ids; a scan of the id tuple per vertex is quadratic
+    and exceeds the bound at this size."""
+    n = 8000
+    g = VertexWeightedGraph(n, [(i, i + 1) for i in range(n - 1)], [1] * n)
+    inst = gen_wcs_to_wcm(g, n)
+    m = lift_certificate(inst, range(n))
+    start = time.perf_counter()
+    assert project_certificate(inst, m) == frozenset(range(n))
+    assert time.perf_counter() - start < 0.2
