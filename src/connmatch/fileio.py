@@ -14,7 +14,10 @@ and 1-based vertex ids externally (0-based in memory):
 * label maps: ``map <id> <label>`` lines
 
 Parsers report the offending line number; writers emit canonical output
-(sorted edge lists) so a parse/write round trip is byte-stable.
+(sorted edge lists) so a parse/write round trip is byte-stable. The line
+scanners share one copy of each line check: the header (first, once, with
+non-negative counts), a 1-based id in range, an edge line (arity, range,
+self-loop, repeated pair) and a line that may appear once.
 
 Graphs and certificates laid out exactly as the writers lay them out take
 a bulk path. ``parse_graph`` and ``parse_certificate`` hand it the file's
@@ -76,6 +79,92 @@ def _int(tok: str, no: int, what: str = "integer") -> int:
         return int(tok)
     except ValueError:
         raise FormatError(f"line {no}: expected {what}, got {tok!r}") from None
+
+
+def _header(toks, no: int, usage: str, names) -> list[int]:
+    """The counts of the header line ``toks``, which must match ``usage``
+    (such as ``'p wcm <n> <m>'``); ``names`` names the counts in order."""
+    words = usage.split()
+    if len(toks) != len(words) or toks[:2] != words[:2]:
+        raise FormatError(f"line {no}: expected '{usage}'")
+    counts = [_int(tok, no) for tok in toks[2:]]
+    for name, count in zip(names, counts):
+        if count < 0:
+            raise FormatError(f"line {no}: {name} count must be non-negative")
+    return counts
+
+
+def _headed_lines(text: str, usage: str, names):
+    """The header's counts and the ``(no, tokens)`` of the lines after it.
+    The first line that is neither blank nor a comment must be the header
+    ``usage``, and no later line may start with the header's tag."""
+    lines = _lines(text)
+    for no, toks in lines:
+        return _header(toks, no, usage, names), _after_header(lines, toks[0])
+    raise FormatError(f"missing '{' '.join(usage.split()[:2])}' header")
+
+
+def _after_header(lines, tag: str):
+    for no, toks in lines:
+        if toks[0] == tag:
+            raise FormatError(f"line {no}: duplicate header")
+        yield no, toks
+
+
+def _announced(count: int, got: int, what: str) -> None:
+    if got != count:
+        raise FormatError(f"header announces {count} {what}, file has {got}")
+
+
+def _id(tok: str, no: int, n: int, what: str) -> int:
+    """The 0-based index of the 1-based id ``tok``, which must lie in 1..n."""
+    x = _int(tok, no)
+    if not 1 <= x <= n:
+        raise FormatError(f"line {no}: {what} {x} out of range 1..{n}")
+    return x - 1
+
+
+def _edge_line(toks, no: int, n: int, usage: str, seen=None) -> tuple:
+    """The ints of an edge line ``toks`` of the form ``usage`` (such as
+    ``'e <u> <v> <w>'``), with ``u`` and ``v`` in 1..n made 0-based. Given
+    ``seen``, a dict from each vertex pair read so far to its line, a
+    self-loop or a pair read before is an error too."""
+    words = usage.split()
+    if toks[0] != words[0] or len(toks) != len(words):
+        raise FormatError(f"line {no}: expected '{usage}'")
+    u, v, *rest = [_int(t, no) for t in toks[1:]]
+    if not (1 <= u <= n and 1 <= v <= n):
+        raise FormatError(f"line {no}: vertex out of range 1..{n}")
+    if seen is not None:
+        if u == v:
+            raise FormatError(f"line {no}: self-loop at vertex {u}")
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise FormatError(f"line {no}: duplicate edge ({u}, {v}), first on line {seen[key]}")
+        seen[key] = no
+    return (u - 1, v - 1, *rest)
+
+
+def _weight(w: int, no: int) -> int:
+    if not (_INT64_MIN <= w <= _INT64_MAX):
+        raise FormatError(f"line {no}: weight outside the signed 64-bit range")
+    return w
+
+
+def _once(prev, toks, no: int) -> None:
+    """Reject a second line with the tag of ``toks``; ``prev`` is what the
+    first one gave, or None."""
+    if prev is not None:
+        raise FormatError(f"line {no}: duplicate '{toks[0]}' line")
+
+
+def _single_int(prev, toks, no: int, usage: str) -> int:
+    """The int of a line ``toks`` of the form ``usage`` (such as
+    ``'k <budget>'``) that may appear once; ``prev`` as for :func:`_once`."""
+    _once(prev, toks, no)
+    if len(toks) != 2:
+        raise FormatError(f"line {no}: expected '{usage}'")
+    return _int(toks[1], no)
 
 
 def _decode(data: bytes) -> str:
@@ -201,43 +290,13 @@ def _parse_graph_bulk(text):
 
 
 def _parse_graph_lines(text: str) -> WeightedGraph:
-    n = m = None
+    (n, m), lines = _headed_lines(text, "p wcm <n> <m>", ("vertex", "edge"))
     edges = []
     seen = {}
-    for no, toks in _lines(text):
-        if toks[0] == "p":
-            if n is not None:
-                raise FormatError(f"line {no}: duplicate header")
-            if len(toks) != 4 or toks[1] != "wcm":
-                raise FormatError(f"line {no}: expected 'p wcm <n> <m>'")
-            n, m = _int(toks[2], no), _int(toks[3], no)
-            if n < 0:
-                raise FormatError(f"line {no}: vertex count must be non-negative")
-            if m < 0:
-                raise FormatError(f"line {no}: edge count must be non-negative")
-        elif toks[0] == "e":
-            if n is None:
-                raise FormatError(f"line {no}: edge before header")
-            if len(toks) != 4:
-                raise FormatError(f"line {no}: expected 'e <u> <v> <w>'")
-            u, v, w = (_int(t, no) for t in toks[1:])
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise FormatError(f"line {no}: vertex out of range 1..{n}")
-            if u == v:
-                raise FormatError(f"line {no}: self-loop at vertex {u}")
-            if not (_INT64_MIN <= w <= _INT64_MAX):
-                raise FormatError(f"line {no}: weight outside the signed 64-bit range")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise FormatError(f"line {no}: duplicate edge ({u}, {v}), first on line {seen[key]}")
-            seen[key] = no
-            edges.append((u - 1, v - 1, w))
-        else:
-            raise FormatError(f"line {no}: unknown directive {toks[0]!r}")
-    if n is None:
-        raise FormatError("missing 'p wcm' header")
-    if len(edges) != m:
-        raise FormatError(f"header announces {m} edges, file has {len(edges)}")
+    for no, toks in lines:
+        u, v, w = _edge_line(toks, no, n, "e <u> <v> <w>", seen)
+        edges.append((u, v, _weight(w, no)))
+    _announced(m, len(edges), "edges")
     return WeightedGraph(n, edges)
 
 
@@ -263,19 +322,10 @@ def write_graph(g: WeightedGraph, path) -> None:
 
 
 def parse_cnf_text(text: str) -> Cnf:
-    nvars = nclauses = None
+    (nvars, nclauses), lines = _headed_lines(text, "p cnf <vars> <clauses>", ("variable", "clause"))
     clauses = []
     current = []
-    for no, toks in _lines(text):
-        if toks[0] == "p":
-            if nvars is not None:
-                raise FormatError(f"line {no}: duplicate header")
-            if len(toks) != 4 or toks[1] != "cnf":
-                raise FormatError(f"line {no}: expected 'p cnf <vars> <clauses>'")
-            nvars, nclauses = _int(toks[2], no), _int(toks[3], no)
-            continue
-        if nvars is None:
-            raise FormatError(f"line {no}: clause before header")
+    for no, toks in lines:
         for tok in toks:
             lit = _int(tok, no, "literal")
             if lit == 0:
@@ -289,10 +339,7 @@ def parse_cnf_text(text: str) -> Cnf:
                 current.append(lit)
     if current:
         raise FormatError("unterminated clause at end of file")
-    if nvars is None:
-        raise FormatError("missing 'p cnf' header")
-    if nclauses is not None and len(clauses) != nclauses:
-        raise FormatError(f"header announces {nclauses} clauses, file has {len(clauses)}")
+    _announced(nclauses, len(clauses), "clauses")
     from .reductions import Cnf
 
     return Cnf.build(nvars, clauses)
@@ -314,44 +361,26 @@ def write_cnf_text(f: Cnf) -> str:
 
 
 def parse_steiner_text(text: str) -> SteinerInstance:
-    n = m = None
+    (n, m), lines = _headed_lines(text, "p steiner <n> <m>", ("vertex", "edge"))
     edges = []
+    seen = {}
     terminals = []
     budget = None
-    for no, toks in _lines(text):
+    for no, toks in lines:
         kind = toks[0]
-        if kind == "p":
-            if n is not None:
-                raise FormatError(f"line {no}: duplicate header")
-            if len(toks) != 4 or toks[1] != "steiner":
-                raise FormatError(f"line {no}: expected 'p steiner <n> <m>'")
-            n, m = _int(toks[2], no), _int(toks[3], no)
-        elif kind == "e":
-            if n is None or len(toks) != 3:
-                raise FormatError(f"line {no}: expected 'e <u> <v>' after the header")
-            u, v = _int(toks[1], no), _int(toks[2], no)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise FormatError(f"line {no}: vertex out of range 1..{n}")
-            edges.append((u - 1, v - 1))
+        if kind == "e":
+            edges.append(_edge_line(toks, no, n, "e <u> <v>", seen))
         elif kind == "t":
-            if n is None or len(toks) != 2:
-                raise FormatError(f"line {no}: expected 't <v>' after the header")
-            t = _int(toks[1], no)
-            if not (1 <= t <= n):
-                raise FormatError(f"line {no}: terminal {t} out of range 1..{n}")
-            terminals.append(t - 1)
-        elif kind == "k":
             if len(toks) != 2:
-                raise FormatError(f"line {no}: expected 'k <budget>'")
-            budget = _int(toks[1], no)
+                raise FormatError(f"line {no}: expected 't <v>'")
+            terminals.append(_id(toks[1], no, n, "terminal"))
+        elif kind == "k":
+            budget = _single_int(budget, toks, no, "k <budget>")
         else:
             raise FormatError(f"line {no}: unknown directive {kind!r}")
-    if n is None:
-        raise FormatError("missing 'p steiner' header")
     if budget is None:
         raise FormatError("missing 'k' line")
-    if len(edges) != m:
-        raise FormatError(f"header announces {m} edges, file has {len(edges)}")
+    _announced(m, len(edges), "edges")
     from .reductions import SteinerInstance
 
     return SteinerInstance.build(n, edges, terminals, budget)
@@ -366,37 +395,20 @@ def parse_steiner(path) -> SteinerInstance:
 
 
 def parse_setcover_text(text: str) -> SetCoverInstance:
-    q = p = None
+    (q, p), lines = _headed_lines(text, "p setcover <q> <p>", ("element", "set"))
     sets = []
     budget = None
-    for no, toks in _lines(text):
+    for no, toks in lines:
         kind = toks[0]
-        if kind == "p":
-            if q is not None:
-                raise FormatError(f"line {no}: duplicate header")
-            if len(toks) != 4 or toks[1] != "setcover":
-                raise FormatError(f"line {no}: expected 'p setcover <q> <p>'")
-            q, p = _int(toks[2], no), _int(toks[3], no)
-        elif kind == "s":
-            if q is None:
-                raise FormatError(f"line {no}: set before header")
-            elems = [_int(t, no) for t in toks[1:]]
-            for e in elems:
-                if not (1 <= e <= q):
-                    raise FormatError(f"line {no}: element {e} out of range 1..{q}")
-            sets.append({e - 1 for e in elems})
+        if kind == "s":
+            sets.append({_id(t, no, q, "element") for t in toks[1:]})
         elif kind == "k":
-            if len(toks) != 2:
-                raise FormatError(f"line {no}: expected 'k <budget>'")
-            budget = _int(toks[1], no)
+            budget = _single_int(budget, toks, no, "k <budget>")
         else:
             raise FormatError(f"line {no}: unknown directive {kind!r}")
-    if q is None:
-        raise FormatError("missing 'p setcover' header")
     if budget is None:
         raise FormatError("missing 'k' line")
-    if p is not None and len(sets) != p:
-        raise FormatError(f"header announces {p} sets, file has {len(sets)}")
+    _announced(p, len(sets), "sets")
     from .reductions import SetCoverInstance
 
     return SetCoverInstance.build(q, sets, budget)
@@ -411,51 +423,29 @@ def parse_setcover(path) -> SetCoverInstance:
 
 
 def parse_wcs_text(text: str) -> VertexWeightedGraph:
-    n = m = None
-    weights = None
-    got_weight = None
+    (n, m), lines = _headed_lines(text, "p wcs <n> <m>", ("vertex", "edge"))
+    weights = {}
     edges = []
-    for no, toks in _lines(text):
+    seen = {}
+    for no, toks in lines:
         kind = toks[0]
-        if kind == "p":
-            if n is not None:
-                raise FormatError(f"line {no}: duplicate header")
-            if len(toks) != 4 or toks[1] != "wcs":
-                raise FormatError(f"line {no}: expected 'p wcs <n> <m>'")
-            n, m = _int(toks[2], no), _int(toks[3], no)
-            weights = [0] * n
-            got_weight = [False] * n
-        elif kind == "v":
-            if n is None or len(toks) != 3:
-                raise FormatError(f"line {no}: expected 'v <id> <w>' after the header")
-            v, w = _int(toks[1], no), _int(toks[2], no)
-            if not (1 <= v <= n):
-                raise FormatError(f"line {no}: vertex {v} out of range 1..{n}")
-            if not (_INT64_MIN <= w <= _INT64_MAX):
-                raise FormatError(f"line {no}: weight outside the signed 64-bit range")
-            if got_weight[v - 1]:
-                raise FormatError(f"line {no}: duplicate weight for vertex {v}")
-            weights[v - 1] = w
-            got_weight[v - 1] = True
+        if kind == "v":
+            if len(toks) != 3:
+                raise FormatError(f"line {no}: expected 'v <id> <w>'")
+            v = _id(toks[1], no, n, "vertex")
+            w = _weight(_int(toks[2], no), no)
+            if v in weights:
+                raise FormatError(f"line {no}: duplicate weight for vertex {v + 1}")
+            weights[v] = w
         elif kind == "e":
-            if n is None or len(toks) != 3:
-                raise FormatError(f"line {no}: expected 'e <u> <v>' after the header")
-            u, v = _int(toks[1], no), _int(toks[2], no)
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise FormatError(f"line {no}: vertex out of range 1..{n}")
-            if u == v:
-                raise FormatError(f"line {no}: self-loop at vertex {u}")
-            edges.append((u - 1, v - 1))
+            edges.append(_edge_line(toks, no, n, "e <u> <v>", seen))
         else:
             raise FormatError(f"line {no}: unknown directive {kind!r}")
-    if n is None:
-        raise FormatError("missing 'p wcs' header")
-    if len(edges) != m:
-        raise FormatError(f"header announces {m} edges, file has {len(edges)}")
-    missing = [i + 1 for i, ok in enumerate(got_weight) if not ok]
-    if missing:
-        raise FormatError(f"vertex {missing[0]} has no weight line")
-    return VertexWeightedGraph(n, edges, weights)
+    _announced(m, len(edges), "edges")
+    if len(weights) != n:
+        v = next(v for v in range(n) if v not in weights)
+        raise FormatError(f"vertex {v + 1} has no weight line")
+    return VertexWeightedGraph(n, edges, [weights[v] for v in range(n)])
 
 
 def parse_wcs(path) -> VertexWeightedGraph:
@@ -480,47 +470,29 @@ def write_wcs(g: VertexWeightedGraph, path) -> None:
 
 
 def parse_td_text(text: str) -> TreeDecomposition:
-    nbags = n = None
+    counts, lines = _headed_lines(text, "s td <bags> <width+1> <n>", ("bag", "bag size", "vertex"))
+    nbags, size, n = counts
     bags: dict[int, set] = {}
     tree_edges = []
-    for no, toks in _lines(text):
-        kind = toks[0]
-        if kind == "s":
-            if nbags is not None:
-                raise FormatError(f"line {no}: duplicate header")
-            if len(toks) != 5 or toks[1] != "td":
-                raise FormatError(f"line {no}: expected 's td <bags> <width+1> <n>'")
-            nbags, n = _int(toks[2], no), _int(toks[4], no)
-        elif kind == "b":
-            if nbags is None:
-                raise FormatError(f"line {no}: bag before the 's td' header")
+    for no, toks in lines:
+        if toks[0] == "b":
             if len(toks) < 2:
                 raise FormatError(f"line {no}: expected 'b <id> <vertices...>'")
-            bag_id = _int(toks[1], no)
-            if not (1 <= bag_id <= nbags):
-                raise FormatError(f"line {no}: bag id {bag_id} out of range 1..{nbags}")
-            if bag_id in bags:
-                raise FormatError(f"line {no}: duplicate bag {bag_id}")
-            verts = [_int(t, no) for t in toks[2:]]
-            for v in verts:
-                if not (1 <= v <= n):
-                    raise FormatError(f"line {no}: vertex {v} out of range 1..{n}")
-            bags[bag_id] = {v - 1 for v in verts}
+            i = _id(toks[1], no, nbags, "bag id")
+            if i in bags:
+                raise FormatError(f"line {no}: duplicate bag {i + 1}")
+            bag = {_id(t, no, n, "vertex") for t in toks[2:]}
+            if len(bag) > size:
+                raise FormatError(f"line {no}: bag {i + 1} has {len(bag)} vertices, more than width+1 = {size}")
+            bags[i] = bag
         else:
-            if nbags is None:
-                raise FormatError(f"line {no}: edge before the 's td' header")
             if len(toks) != 2:
                 raise FormatError(f"line {no}: expected a bag-tree edge '<i> <j>'")
-            i, j = _int(toks[0], no), _int(toks[1], no)
-            if not (1 <= i <= nbags and 1 <= j <= nbags):
-                raise FormatError(f"line {no}: bag id out of range 1..{nbags}")
-            tree_edges.append((i - 1, j - 1))
-    if nbags is None:
-        raise FormatError("missing 's td' header")
-    missing = [i for i in range(1, nbags + 1) if i not in bags]
-    if missing:
-        raise FormatError(f"bag {missing[0]} has no 'b' line")
-    return TreeDecomposition.build([bags[i] for i in range(1, nbags + 1)], tree_edges)
+            tree_edges.append((_id(toks[0], no, nbags, "bag id"), _id(toks[1], no, nbags, "bag id")))
+    if len(bags) != nbags:
+        i = next(i for i in range(nbags) if i not in bags)
+        raise FormatError(f"bag {i + 1} has no 'b' line")
+    return TreeDecomposition.build([bags[i] for i in range(nbags)], tree_edges)
 
 
 def parse_td(path) -> TreeDecomposition:
@@ -593,19 +565,17 @@ def _parse_certificate_lines(text: str, g: WeightedGraph) -> Matching:
     line_of_edge = {}
     line_of_vertex = {}
     for no, toks in _lines(text):
-        if toks[0] != "m" or len(toks) != 3:
-            raise FormatError(f"line {no}: expected 'm <u> <v>'")
-        u, v = _int(toks[1], no), _int(toks[2], no)
-        if not (1 <= u <= g.n and 1 <= v <= g.n):
-            raise FormatError(f"line {no}: vertex out of range 1..{g.n}")
-        eid = g.edge_id(u - 1, v - 1)
+        u, v = _edge_line(toks, no, g.n, "m <u> <v>")
+        eid = g.edge_id(u, v)
         if eid is None:
-            raise FormatError(f"line {no}: edge ({u}, {v}) is not in the graph")
+            raise FormatError(f"line {no}: edge ({u + 1}, {v + 1}) is not in the graph")
         if eid in line_of_edge:
-            raise FormatError(f"line {no}: edge ({u}, {v}) repeats line {line_of_edge[eid]}")
+            raise FormatError(f"line {no}: edge ({u + 1}, {v + 1}) repeats line {line_of_edge[eid]}")
         for x in (u, v):
             if x in line_of_vertex:
-                raise FormatError(f"line {no}: edge ({u}, {v}) shares vertex {x} with line {line_of_vertex[x]}")
+                raise FormatError(
+                    f"line {no}: edge ({u + 1}, {v + 1}) shares vertex {x + 1} with line {line_of_vertex[x]}"
+                )
         line_of_edge[eid] = line_of_vertex[u] = line_of_vertex[v] = no
         eids.append(eid)
     return Matching(g, eids)
@@ -672,11 +642,7 @@ def parse_vertex_set_text(text: str, g: VertexWeightedGraph) -> frozenset:
     for no, toks in _lines(text):
         if toks[0] != "v":
             raise FormatError(f"line {no}: expected 'v <ids...>'")
-        for tok in toks[1:]:
-            v = _int(tok, no)
-            if not (1 <= v <= g.n):
-                raise FormatError(f"line {no}: vertex {v} out of range 1..{g.n}")
-            verts.append(v - 1)
+        verts.extend(_id(tok, no, g.n, "vertex") for tok in toks[1:])
     return frozenset(verts)
 
 
@@ -701,6 +667,7 @@ def parse_assignment_text(text: str) -> tuple[tuple, Union[int, None]]:
     instance = None
     for no, toks in _lines(text):
         if toks[0] == "a":
+            _once(assignment, toks, no)
             vals = []
             for tok in toks[1:]:
                 if tok not in ("0", "1"):
@@ -708,9 +675,7 @@ def parse_assignment_text(text: str) -> tuple[tuple, Union[int, None]]:
                 vals.append(tok == "1")
             assignment = tuple(vals)
         elif toks[0] == "i":
-            if len(toks) != 2:
-                raise FormatError(f"line {no}: expected 'i <instance>'")
-            instance = _int(toks[1], no)
+            instance = _single_int(instance, toks, no, "i <instance>")
         else:
             raise FormatError(f"line {no}: expected 'a <bits...>' or 'i <instance>'")
     if assignment is None:
@@ -728,9 +693,7 @@ def write_assignment_text(assignment, instance: Union[int, None] = None) -> str:
 def parse_tree_solution_text(text: str) -> list[tuple[int, int]]:
     edges = []
     for no, toks in _lines(text):
-        if toks[0] != "e" or len(toks) != 3:
-            raise FormatError(f"line {no}: expected 'e <u> <v>'")
-        edges.append((_int(toks[1], no) - 1, _int(toks[2], no) - 1))
+        edges.append(_edge_line(toks, no, _INT64_MAX, "e <u> <v>"))
     return edges
 
 
@@ -744,7 +707,7 @@ def parse_family_text(text: str) -> frozenset:
     for no, toks in _lines(text):
         if toks[0] != "s":
             raise FormatError(f"line {no}: expected 's <indices...>'")
-        chosen.extend(_int(t, no) - 1 for t in toks[1:])
+        chosen.extend(_id(t, no, _INT64_MAX, "set index") for t in toks[1:])
     return frozenset(chosen)
 
 
@@ -759,10 +722,10 @@ def parse_map_text(text: str) -> dict:
     for no, toks in _lines(text):
         if toks[0] != "map" or len(toks) != 3:
             raise FormatError(f"line {no}: expected 'map <id> <label>'")
-        v = _int(toks[1], no)
-        if v - 1 in labels:
-            raise FormatError(f"line {no}: duplicate map entry for vertex {v}")
-        labels[v - 1] = toks[2]
+        v = _id(toks[1], no, _INT64_MAX, "vertex")
+        if v in labels:
+            raise FormatError(f"line {no}: duplicate map entry for vertex {v + 1}")
+        labels[v] = toks[2]
     return labels
 
 

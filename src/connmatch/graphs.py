@@ -383,21 +383,9 @@ class VertexWeightedGraph:
         for w in vertex_weights:
             if not isinstance(w, int) or isinstance(w, bool):
                 raise GraphError(f"non-integer vertex weight {w!r}")
-        normalized = []
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if u > v:
-                u, v = v, u
-            if (u, v) in seen:
-                raise GraphError(f"parallel edge ({u}, {v})")
-            seen.add((u, v))
-            normalized.append((u, v))
+        normalized = _checked_edges(n, ((u, v, 0) for u, v in edges))
         self.n = n
-        self.edges = tuple(normalized)
+        self.edges = tuple((u, v) for u, v, _ in normalized)
         self.vertex_weights = tuple(vertex_weights)
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in self.edges:

@@ -110,6 +110,8 @@ def _normalize_tree(inst: SteinerInstance, edges: Iterable) -> tuple[frozenset, 
 
 
 def _require_connected_matching(inst: LabeledInstance, m: Matching, what: str) -> Matching:
+    if not isinstance(m, Matching):
+        raise ReductionError(f"{what} is not a Matching")
     if m.graph is not inst.graph and m.graph != inst.graph:
         raise ReductionError(f"{what} belongs to a different graph")
     if m.weight < inst.k:

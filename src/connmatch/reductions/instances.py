@@ -113,9 +113,9 @@ class SetCoverInstance:
                 if not (0 <= e < self.universe_size):
                     raise ReductionError(f"element {e} out of range in set {i + 1}")
             covered |= s
-        missing = set(range(self.universe_size)) - covered
-        if missing:
-            raise ReductionError(f"element {min(missing)} is covered by no set")
+        if len(covered) < self.universe_size:
+            e = next(e for e in range(self.universe_size) if e not in covered)
+            raise ReductionError(f"element {e} is covered by no set")
 
     @staticmethod
     def build(universe_size, sets, budget) -> "SetCoverInstance":

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from connmatch import fileio
@@ -152,6 +154,48 @@ class TestTdFormat:
 )
 def test_second_header_is_rejected(parse, text, line):
     with pytest.raises(FormatError, match=f"^line {line}: duplicate header$"):
+        parse(text)
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (fileio.parse_steiner_text, "p steiner 2 1\ne 1 1\nt 1\nk 1\n", "line 2: self-loop at vertex 1"),
+        (
+            fileio.parse_steiner_text,
+            "p steiner 2 2\ne 1 2\nt 1\ne 2 1\nk 1\n",
+            "line 4: duplicate edge (2, 1), first on line 2",
+        ),
+        (
+            fileio.parse_wcs_text,
+            "p wcs 2 2\nv 1 1\nv 2 1\ne 1 2\ne 2 1\n",
+            "line 5: duplicate edge (2, 1), first on line 4",
+        ),
+        (fileio.parse_cnf_text, "p cnf -1 0\n", "line 1: variable count must be non-negative"),
+        (fileio.parse_steiner_text, "p steiner -1 0\nk 1\n", "line 1: vertex count must be non-negative"),
+        (fileio.parse_setcover_text, "p setcover 1 -1\ns 1\nk 1\n", "line 1: set count must be non-negative"),
+        (fileio.parse_wcs_text, "c note\np wcs 2 -1\n", "line 2: edge count must be non-negative"),
+        (fileio.parse_td_text, "s td 1 -2 2\nb 1 1\n", "line 1: bag size count must be non-negative"),
+        (fileio.parse_td_text, "s td 1 x 2\nb 1 1\n", "line 1: expected integer, got 'x'"),
+        (fileio.parse_td_text, "s td 1 1 2\nb 1 1 2\n", "line 2: bag 1 has 2 vertices, more than width+1 = 1"),
+        (fileio.parse_steiner_text, "k 1\np steiner 2 1\ne 1 2\nt 1\n", "line 1: expected 'p steiner <n> <m>'"),
+        (fileio.parse_steiner_text, "p steiner 2 1\ne 1 2\nk 1\nt 1\nk 2\n", "line 5: duplicate 'k' line"),
+        (fileio.parse_setcover_text, "p setcover 1 1\nk 1\ns 1\nk 1\n", "line 4: duplicate 'k' line"),
+        (fileio.parse_assignment_text, "a 0 1\nc note\na 1 1\n", "line 3: duplicate 'a' line"),
+        (fileio.parse_assignment_text, "i 1\na 0 1\ni 2\n", "line 3: duplicate 'i' line"),
+        (fileio.parse_map_text, "map 1 h+\nmap 0 x.1+\n", f"line 2: vertex 0 out of range 1..{2**63 - 1}"),
+        (fileio.parse_family_text, "s 2 0\n", f"line 1: set index 0 out of range 1..{2**63 - 1}"),
+        (fileio.parse_tree_solution_text, "e 1 2\ne 0 1\n", f"line 2: vertex out of range 1..{2**63 - 1}"),
+    ],
+    ids=[
+        "steiner-self-loop", "steiner-duplicate-edge", "wcs-duplicate-edge", "cnf-negative-count",
+        "steiner-negative-count", "setcover-negative-count", "wcs-negative-count", "td-negative-width",
+        "td-non-integer-width", "td-bag-wider-than-header", "steiner-line-before-header", "steiner-second-k",
+        "setcover-second-k", "second-a", "second-i", "map-id-0", "family-index-0", "tree-solution-id-0",
+    ],
+)
+def test_bad_line_is_named(parse, text, message):
+    with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
         parse(text)
 
 

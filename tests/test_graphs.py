@@ -5,6 +5,7 @@ import pytest
 from connmatch.graphs import (
     GraphError,
     Matching,
+    VertexWeightedGraph,
     WeightedGraph,
     _mcs_order,
     articulation_points,
@@ -76,6 +77,19 @@ class TestConstruction:
     def test_rejects_non_integer_weight(self):
         with pytest.raises(GraphError):
             WeightedGraph(2, [(0, 1, 1.5)])
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([(0, 2)], r"^edge \(0, 2\) out of range for n=2$"),
+            ([(1, 1)], "^self-loop at vertex 1$"),
+            ([(0, 1), (1, 0)], r"^parallel edge \(0, 1\)$"),
+        ],
+        ids=["out-of-range", "self-loop", "parallel"],
+    )
+    def test_vertex_weighted_graph_names_the_bad_edge(self, edges, message):
+        with pytest.raises(GraphError, match=message):
+            VertexWeightedGraph(2, edges, [1, 2])
 
     def test_adjacency_consistent(self):
         g = path_graph([1, 2, 3])

@@ -548,6 +548,8 @@ class TestBothDirectionsReject:
             with pytest.raises(ReductionError, match="^certificate has vertex .* out of range$"):
                 project_certificate(inst, cert)
         else:
+            with pytest.raises(ReductionError, match="^certificate is not a Matching$"):
+                project_certificate(inst, frozenset(cert.edge_ids))
             assume(other.graph != inst.graph)
             with pytest.raises(ReductionError, match="^certificate belongs to a different graph$"):
                 project_certificate(inst, cert)
