@@ -8,7 +8,7 @@ Run as: python demos/treewidth_walkthrough.py
 import random
 
 from connmatch import WeightedGraph, brute_mwcm, heuristic_td, make_nice, solve_treewidth, validate_td
-from connmatch.treewidth_solver import _node_table
+from connmatch.treewidth_solver import _walk
 
 rng = random.Random(3)
 n = 12
@@ -28,27 +28,19 @@ kinds = [nd.nodes[i].kind for i in nd.postorder()]
 print(f"\nnice form rooted at the forget node of vertex 0: {len(nd.nodes)} nodes")
 print("  node kinds:", {k: kinds.count(k) for k in ("leaf", "introduce", "forget", "join")})
 
-# run the DP manually to watch the table sizes, with pruning on and off;
-# every cell must stay within the representative bound 2^(|ground|-1)
+# walk the solver's DP node by node to watch the table sizes, with pruning
+# on and off; every cell must stay within the representative bound 2^(|ground|-1)
 for use_reduce in (True, False):
-    tables, memo = {}, {}  # memo: the join overlays of this pass
-    biggest = 0
-    total_entries = 0
+    sizes = []
     within_bound = True
-    for x in nd.postorder():
-        kids = nd.nodes[x].children
-        tables[x] = _node_table(g, nd, x, [tables[c] for c in kids], use_reduce, memo)
+    for _, table, _ in _walk(g, nd, use_reduce):
         # cells are keyed by (S, U) bitmasks over the bag; the ground is S | U
-        for (s, u), entries in tables[x].items():
-            biggest = max(biggest, len(entries))
-            total_entries += len(entries)
-            if use_reduce and len(entries) > 1 << max((s | u).bit_count() - 1, 0):
-                within_bound = False
-        for c in kids:
-            del tables[c]
+        for (s, u), entries in table.items():
+            sizes.append(len(entries))
+            within_bound &= len(entries) <= 1 << max((s | u).bit_count() - 1, 0)
     mode = "with reduce" if use_reduce else "without reduce"
     note = f", all cells within the 2^(g-1) bound: {within_bound}" if use_reduce else ""
-    print(f"{mode:15s}: largest cell {biggest} entries, {total_entries} entries in total{note}")
+    print(f"{mode:15s}: largest cell {max(sizes)} entries, {sum(sizes)} entries in total{note}")
 
 w, m = solve_treewidth(g, td)
 print(f"\noptimum {w} via {m.edge_pairs()}")

@@ -4,7 +4,7 @@
 trees, then paths/cycles, then chordal graphs with non-negative weights,
 then brute force for small edge counts, and the treewidth DP for the rest.
 A connected matching lives inside one component, so disconnected inputs are
-solved per component and the maximum is returned.
+solved per component with an edge and the maximum is returned.
 """
 
 from __future__ import annotations
@@ -74,6 +74,8 @@ def dispatch_solve(
     best_w = 0
     best: Matching = Matching(g, [])
     for comp in g.components(label):
+        if len(comp) < 2:
+            continue  # no edge, so it scores 0, which never beats best_w
         sub, _, edge_map = g.induced(comp)
         w, m = _solve_component(sub, solver, None, brute_limit)
         if w > best_w:

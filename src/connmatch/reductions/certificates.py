@@ -65,10 +65,10 @@ def _require_satisfying(f: Cnf, assignment, side: str) -> None:
 def _require_cover(src: SetCoverInstance, chosen: frozenset, side: str) -> None:
     outside = [j for j in chosen if not 0 <= j < len(src.sets)]
     if outside:
-        raise ReductionError(f"{side} family names set index {min(outside)}, out of range")
+        raise ReductionError(f"{side} family names set index {min(outside) + 1}, out of range")
     missing = set(range(src.universe_size)).difference(*(src.sets[j] for j in chosen))
     if missing:
-        raise ReductionError(f"{side} family leaves element {min(missing)} uncovered")
+        raise ReductionError(f"{side} family leaves element {min(missing) + 1} uncovered")
     if len(chosen) > src.budget:
         raise ReductionError(f"{side} family has {len(chosen)} sets, budget is {src.budget}")
 

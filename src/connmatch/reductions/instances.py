@@ -98,7 +98,8 @@ class SteinerInstance:
 
 @dataclass(frozen=True)
 class SetCoverInstance:
-    """Universe 0..universe_size-1, family of member sets, size budget."""
+    """Universe 0..universe_size-1, family of member sets, size budget.
+    Messages number elements and sets from 1, as set-cover files do."""
 
     universe_size: int
     sets: tuple  # of frozensets
@@ -111,11 +112,11 @@ class SetCoverInstance:
                 raise ReductionError(f"member set {i + 1} is empty")
             for e in s:
                 if not (0 <= e < self.universe_size):
-                    raise ReductionError(f"element {e} out of range in set {i + 1}")
+                    raise ReductionError(f"element {e + 1} out of range in set {i + 1}")
             covered |= s
         if len(covered) < self.universe_size:
             e = next(e for e in range(self.universe_size) if e not in covered)
-            raise ReductionError(f"element {e} is covered by no set")
+            raise ReductionError(f"element {e + 1} is covered by no set")
 
     @staticmethod
     def build(universe_size, sets, budget) -> "SetCoverInstance":

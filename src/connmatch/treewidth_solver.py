@@ -27,18 +27,19 @@ far. Transitions:
   right table; partners are visited in right-table order, so cells are
   built exactly as a scan over all pairs would build them.
 
-A child table is dropped once its parent is built, so a cell that passes
-through unchanged keeps its child's entry dict instead of copying it.
+One bottom-up pass builds every table. A child table is dropped once its
+parent is built, so a cell that passes through unchanged keeps its child's
+entry dict instead of copying it. Pruning reduces a cell over the
+``2^(|S | U| - 1)`` bound only once its node's table is built.
 
 A completed connected matching surfaces exactly where its last saturated
 vertex ``v`` is forgotten: the child cell ``({v}, {})`` holds it as a
-single-block entry. Scanning every forget node therefore reads off the
-optimum in one pass.
+single-block entry, so the same pass reads off the optimum at every forget.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graphs import GraphError, Matching, WeightedGraph, is_connected
 from .partitions import (
@@ -51,9 +52,6 @@ from .partitions import (
     trace_edges,
 )
 from .treedecomp import NiceNode, NiceTreeDecomposition, TreeDecomposition, heuristic_td, make_nice, validate_td
-
-# the join reduces a cell as it grows once it holds this many times the bound
-JOIN_SLACK = 4
 
 
 def _below(bag, v: int) -> int:
@@ -144,7 +142,7 @@ def _splits(u: int) -> list[tuple[int, int]]:
         sz = (sz - 1) & u
 
 
-def _join(left: dict, right: dict, use_reduce: bool, memo: dict) -> dict:
+def _join(left: dict, right: dict, memo: dict) -> dict:
     right_pos = {cell: i for i, cell in enumerate(right)}
     right_entries = list(right.values())
     splits: dict = {}
@@ -165,24 +163,15 @@ def _join(left: dict, right: dict, use_reduce: bool, memo: dict) -> dict:
             if out is None:
                 out = table[cell] = {}
             join_entries(a, right_entries[i], out, memo)
-            if use_reduce and len(out) > JOIN_SLACK:
-                ground = (s | shared).bit_count()
-                if len(out) > JOIN_SLACK << max(ground - 1, 0):
-                    table[cell] = reduce_entries(out, ground)
     return table
 
 
 def _node_table(
-    g: WeightedGraph,
-    nd: NiceTreeDecomposition,
-    x: int,
-    child_tables: list[dict],
-    use_reduce: bool,
-    memo: dict,
+    g: WeightedGraph, node: NiceNode, child_tables: list[dict], use_reduce: bool, memo: dict
 ) -> dict:
-    """The table of node ``x`` from its children's tables; ``memo`` is the
-    solve's overlay memo (see :func:`join_entries`)."""
-    node = nd.nodes[x]
+    """The table of ``node`` from its children's tables; ``memo`` is the
+    solve's overlay memo (see :func:`join_entries`). With ``use_reduce``, each
+    cell over ``2^(|S | U| - 1)`` entries is reduced once the table is built."""
     kind = node.kind
     if kind == "leaf":
         return {(0, 0): {(): (0, None)}}
@@ -191,7 +180,7 @@ def _node_table(
     elif kind == "forget":
         table = _forget(node, child_tables[0])
     elif kind == "join":
-        table = _join(child_tables[0], child_tables[1], use_reduce, memo)
+        table = _join(child_tables[0], child_tables[1], memo)
     else:
         raise AssertionError(f"unknown node kind {kind!r}")
     if use_reduce:
@@ -203,33 +192,41 @@ def _node_table(
     return table
 
 
-def _run_dp(
-    g: WeightedGraph,
-    nd: NiceTreeDecomposition,
-    use_reduce: bool,
-) -> Optional[tuple]:
+def _walk(g: WeightedGraph, nd: NiceTreeDecomposition, use_reduce: bool) -> Iterator[tuple]:
+    """``(x, table, child_tables)`` for every node ``x`` in postorder: its
+    table and the child tables it was built from, which the walk then drops.
+
+    A forget's pass-through cells share its child's entry dicts, and the
+    forget may merge more entries into them: each table is handed out before
+    the next step can change it, so use it before asking for the next node.
+    The forget never changes its child's cell ``({v}, {})``, so reading that
+    cell off the yielded child table sees it as the child's step built it.
+    """
+    tables: dict[int, dict] = {}
+    memo: dict = {}  # join overlays, shared by this walk's joins only
+    for x in nd.postorder():
+        node = nd.nodes[x]
+        kids = [tables.pop(c) for c in node.children]
+        table = tables[x] = _node_table(g, node, kids, use_reduce, memo)
+        yield x, table, kids
+        kids.clear()  # the caller may still hold the list: drop the children now
+
+
+def _run_dp(g: WeightedGraph, nd: NiceTreeDecomposition, use_reduce: bool) -> Optional[tuple]:
     """Bottom-up pass over all nodes, reading candidates at every forget.
 
     A ``(weight, trace)`` pair of the best single-block entry found in a
     child cell ``({v}, {})`` across all forget nodes, or None.
     """
-    tables: dict[int, dict] = {}
-    memo: dict = {}  # join overlays, shared by this solve's joins only
     best: Optional[tuple] = None
-
-    for x in nd.postorder():
+    for x, _, kids in _walk(g, nd, use_reduce):
         node = nd.nodes[x]
-        kids = node.children
         if node.kind == "forget":
-            cell = tables[kids[0]].get((1 << _below(node.bag, node.vertex), 0))
+            cell = kids[0].get((1 << _below(node.bag, node.vertex), 0))
             if cell is not None:
                 top = cell[(0,)]  # the only partition of a one-element ground
                 if best is None or top[0] > best[0]:
                     best = top
-        child_tabs = [tables[c] for c in kids]
-        tables[x] = _node_table(g, nd, x, child_tabs, use_reduce, memo)
-        for c in kids:
-            del tables[c]
     return best
 
 
@@ -263,6 +260,5 @@ def solve_treewidth(
         td = heuristic_td(g)
     validate_td(g, td)
 
-    pi0 = min(set().union(*td.bags))
-    nd = make_nice(td, pi0)
-    return _witness(g, _run_dp(g, nd, use_reduce))
+    # validate_td has checked that the bags cover vertex 0
+    return _witness(g, _run_dp(g, make_nice(td, 0), use_reduce))

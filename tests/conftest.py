@@ -7,9 +7,11 @@ validate.
 
 from __future__ import annotations
 
+import importlib.util
 import random
 from collections import deque
 from itertools import combinations
+from pathlib import Path
 from typing import Optional
 
 from connmatch.graphs import Matching, VertexWeightedGraph, WeightedGraph
@@ -26,6 +28,38 @@ from connmatch.reductions import (
     gen_starlike,
     gen_wcs_to_wcm,
 )
+
+
+def _load_bench_instances():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"
+    spec = importlib.util.spec_from_file_location("bench_instances", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench = _load_bench_instances()  # the benchmark's instance generators
+
+
+def bench_graph(instance) -> WeightedGraph:
+    n, edges = instance[:2]
+    return WeightedGraph(n, edges)
+
+
+# the reduction gadgets that the treewidth-DP tests run, by name
+DP_GADGETS = {
+    "starlike-3": (gen_starlike, Cnf.build(3, [(1, -2, 3), (-1, 2, -3), (1, 2, -3), (-1, -2, 3)])),
+    "bip4-4": (gen_bip4, Cnf.build(4, [(1, 2, -3), (-2, 3, 4), (-1, -3, -4), (1, -2, 4)])),
+}
+
+
+def dp_instance(name: str) -> WeightedGraph:
+    """A gadget of ``DP_GADGETS``, or ``ktree-dp-<seed>``: the benchmark's
+    partial 4-tree with the weights of that seed."""
+    if name in DP_GADGETS:
+        gen, f = DP_GADGETS[name]
+        return gen(f).graph
+    return bench_graph(bench.ktree_dp(int(name.rpartition("-")[2])))
 
 
 def path_graph(weights):

@@ -38,11 +38,12 @@ from connmatch.reductions import (
 from connmatch.degree2_solver import solve_degree_two
 from connmatch.chordal_solver import solve_chordal
 from connmatch.tree_solver import solve_tree
-from connmatch.treedecomp import heuristic_td, make_nice
-from connmatch.treewidth_solver import _node_table, solve_treewidth
+from connmatch.treedecomp import heuristic_td
+from connmatch.treewidth_solver import solve_treewidth
 from conftest import cycle_graph, random_chordal_graph, random_connected_graph, random_tree
 from partition_helpers import from_weighted, opt
 from test_partitions import all_partitions
+from test_treewidth import assert_cells_within_bound
 
 REFERENCE_FORMULA = Cnf.build(5, [(1, -2, -4), (1, -3, 5), (-1, -2, 4), (2, 3, 5)])
 REFERENCE_MONOTONE = Cnf.build(5, [(1, 2, 5), (2, 3, 4), (-2, -4, -5)])
@@ -178,16 +179,7 @@ def test_criterion_4_reduce_correctness():
         # size bound after every reduce call, checked on instrumented runs
         rng = random.Random(777)
         for _ in range(20):
-            g = random_connected_graph(rng, rng.randint(2, 9), rng.randint(0, 10))
-            nd = make_nice(heuristic_td(g), 0)
-            tables, memo = {}, {}
-            for x in nd.postorder():
-                kids = nd.nodes[x].children
-                tables[x] = _node_table(g, nd, x, [tables[c] for c in kids], True, memo)
-                for (s, u), entries in tables[x].items():
-                    assert len(entries) <= 1 << max((s | u).bit_count() - 1, 0)
-                for c in kids:
-                    del tables[c]
+            assert_cells_within_bound(random_connected_graph(rng, rng.randint(2, 9), rng.randint(0, 10)))
 
         # opt preservation, exhaustive over all extensions for |ground| <= 4
         rng = random.Random(778)

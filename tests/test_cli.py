@@ -1,4 +1,6 @@
 import random
+import time
+from contextlib import nullcontext
 
 import pytest
 
@@ -54,6 +56,14 @@ class TestDispatch:
         w, m = dispatch_solve(g)
         assert w == 18
         assert m.vertices == {2, 3, 4, 5}
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_isolated_vertices_are_skipped(self, solver):
+        g = WeightedGraph(100_000, [(0, 1, 5), (1, 2, -1), (5, 6, 3)])
+        start = time.perf_counter()
+        with pytest.raises(GraphError, match="non-negative weights") if solver == "chordal" else nullcontext():
+            assert dispatch_solve(g, solver)[1].edge_ids == (0,)  # the edge of weight 5
+        assert time.perf_counter() - start < 0.5
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_given_td_is_validated_whatever_the_solver(self, solver):

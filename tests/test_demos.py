@@ -1,7 +1,8 @@
 """Every demo runs to the end: the demos call internals such as
-``treewidth_solver._node_table``, so a change of table shape or of a private
-name must not break them silently."""
+``treewidth_solver._walk``, so a change of table shape or of a private name
+must not break them silently. No test or demo builds DP tables itself."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -27,3 +28,14 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def test_no_second_dp_walk():
+    offenders = [
+        path.name
+        for path in sorted((ROOT / "tests").rglob("*.py")) + DEMOS
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "connmatch.treewidth_solver"
+        and "_node_table" in [alias.name for alias in node.names]
+    ]
+    assert not offenders, f"iterate treewidth_solver._walk instead of importing _node_table: {offenders}"

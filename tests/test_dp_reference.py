@@ -8,13 +8,10 @@ checked against the operator it replaced, on random label tuples.
 """
 
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
 import reference_dp as ref
-from connmatch import WeightedGraph
 from connmatch.partitions import (
     glue_entries,
     insert_entries,
@@ -23,12 +20,9 @@ from connmatch.partitions import (
     project_entries,
     reduce_entries,
 )
-from connmatch.reductions import Cnf, gen_starlike
 from connmatch.treedecomp import heuristic_td, make_nice
-from connmatch.treewidth_solver import _node_table
-from conftest import random_connected_graph
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+from connmatch.treewidth_solver import _walk
+from conftest import dp_instance, random_connected_graph
 
 
 def _vertex_keyed(table: dict, bag) -> dict:
@@ -48,13 +42,11 @@ def _vertex_keyed(table: dict, bag) -> dict:
 def _compare(g, use_reduce):
     """Build both DPs' tables node by node and compare each node's cells."""
     nd = make_nice(heuristic_td(g), 0)
-    new_tabs, old_tabs, memo = {}, {}, {}
-    for x in nd.postorder():
+    old_tabs = {}
+    for x, table, _ in _walk(g, nd, use_reduce):
         node = nd.nodes[x]
-        kids = node.children
-        new_tabs[x] = _node_table(g, nd, x, [new_tabs[c] for c in kids], use_reduce, memo)
-        old_tabs[x] = ref._node_table(g, nd, x, [old_tabs[c] for c in kids], use_reduce)
-        new = _vertex_keyed(new_tabs[x], node.bag)
+        old_tabs[x] = ref._node_table(g, nd, x, [old_tabs.pop(c) for c in node.children], use_reduce)
+        new = _vertex_keyed(table, node.bag)
         old = {
             cell: {labels: w for labels, (w, _) in wps.entries.items()}
             for cell, wps in old_tabs[x].items()
@@ -66,24 +58,6 @@ def _compare(g, use_reduce):
                 assert len(entries) <= 1 << max(len(s | u) - 1, 0), (x, s, u)
         else:
             assert new == old, f"node {x} ({node.kind}): entries differ"
-        for c in kids:
-            del new_tabs[c], old_tabs[c]
-
-
-def _ktree_dp_graph():
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import instances
-    finally:
-        sys.path.remove(str(PERFBENCH))
-        sys.modules.pop("instances", None)
-    n, edges, _ = instances.ktree_dp(0)
-    return WeightedGraph(n, edges)
-
-
-def _starlike_graph():
-    f = Cnf.build(3, [(1, -2, 3), (-1, 2, -3), (1, 2, -3), (-1, -2, 3)])
-    return gen_starlike(f).graph
 
 
 @pytest.mark.parametrize("use_reduce", [False, True], ids=["plain", "reduce"])
@@ -95,10 +69,10 @@ class TestNodeTables:
             _compare(random_connected_graph(rng, n, rng.randint(0, 2 * n)), use_reduce)
 
     def test_ktree_dp_instance(self, use_reduce):
-        _compare(_ktree_dp_graph(), use_reduce)
+        _compare(dp_instance("ktree-dp-0"), use_reduce)
 
     def test_starlike_gadget(self, use_reduce):
-        _compare(_starlike_graph(), use_reduce)
+        _compare(dp_instance("starlike-3"), use_reduce)
 
 
 def _random_entries(rng, g, count):

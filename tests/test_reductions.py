@@ -319,7 +319,7 @@ class TestSetCoverToWcs:
         assert res.witness == frozenset(range(3))
 
     def test_uncovered_element_rejected(self):
-        with pytest.raises(ReductionError):
+        with pytest.raises(ReductionError, match="^element 2 is covered by no set$"):
             SetCoverInstance.build(2, [{0}], 1)
 
     def test_empty_set_rejected(self):
@@ -331,8 +331,8 @@ class TestSetCoverToWcs:
         out = gen_setcover_to_wcs(inst)
         subset = lift_certificate(out, [0, 1])
         assert sum(out.graph.vertex_weights[v] for v in subset) >= out.k
-        with pytest.raises(ReductionError):
-            lift_certificate(out, [0])  # leaves element 2 uncovered
+        with pytest.raises(ReductionError, match="^source family leaves element 3 uncovered$"):
+            lift_certificate(out, [0])
 
 
 class TestHardnessEquivalence:

@@ -353,7 +353,7 @@ def test_every_parser_returns_or_raises_a_graph_error(text):
         (
             fileio.parse_setcover_text,
             "p setcover 1000000000000 1\ns 1\nk 1\n",
-            "^element 1 is covered by no set$",
+            "^element 2 is covered by no set$",
         ),
         (fileio.parse_td_text, "s td 1000000000000 2 3\nb 1 1 2\n", "^bag 2 has no 'b' line$"),
     ],

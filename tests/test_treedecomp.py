@@ -1,7 +1,5 @@
-import importlib.util
 import random
 from collections import deque
-from pathlib import Path
 
 import pytest
 
@@ -14,23 +12,7 @@ from connmatch.treedecomp import (
     make_nice,
     validate_td,
 )
-from conftest import complete_graph, cycle_graph, path_graph, random_connected_graph, random_tree
-
-
-def _load_bench_instances():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "instances.py"
-    spec = importlib.util.spec_from_file_location("bench_instances", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-bench = _load_bench_instances()
-
-
-def bench_graph(instance) -> WeightedGraph:
-    n, edges = instance[:2]
-    return WeightedGraph(n, edges)
+from conftest import bench, bench_graph, complete_graph, cycle_graph, path_graph, random_connected_graph, random_tree
 
 
 # Reference versions: the quadratic code the library used before the heap and

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,10 +7,11 @@ from connmatch.graphs import GraphError, WeightedGraph, induced_by_matching_conn
 from connmatch.oracle import brute_mwcm
 from connmatch import tree_solver, treewidth_solver
 from connmatch.treedecomp import TreeDecomposition, heuristic_td, make_nice
-from connmatch.treewidth_solver import _node_table, solve_treewidth
+from connmatch.fileio import write_certificate_text
+from connmatch.treewidth_solver import _walk, solve_treewidth
 from connmatch.degree2_solver import solve_degree_two
 from connmatch.tree_solver import _solve_tree_layered, _solve_tree_scalar, solve_tree
-from conftest import cycle_graph, path_graph, random_connected_graph, random_tree
+from conftest import DP_GADGETS, cycle_graph, dp_instance, path_graph, random_connected_graph, random_tree
 
 
 class TestSpotValues:
@@ -99,20 +101,22 @@ class TestCrossSolver:
 
 
 def _tables_per_node(g, nd, use_reduce):
-    """Replicate the bottom-up pass, recording each cell's best weight."""
-    tables, memo = {}, {}
-    snapshot = {}
-    for x in nd.postorder():
-        kids = nd.nodes[x].children
-        tables[x] = _node_table(g, nd, x, [tables[c] for c in kids], use_reduce, memo)
-        snapshot[x] = {
-            cell: max(w for w, _ in entries.values())
-            for cell, entries in tables[x].items()
-            if entries
-        }
-        for c in kids:
-            del tables[c]
-    return snapshot
+    """Each node's cells with their best weight, from the solver's walk."""
+    return {
+        x: {cell: max(w for w, _ in entries.values()) for cell, entries in table.items() if entries}
+        for x, table, _ in _walk(g, nd, use_reduce)
+    }
+
+
+def assert_cells_within_bound(g):
+    """The pruned walk leaves every cell with at most ``2^(|S | U| - 1)`` entries."""
+    for _, table, _ in _walk(g, make_nice(heuristic_td(g), 0), True):
+        for (s, u), entries in table.items():
+            # join and glue need every label tuple to cover the ground S | U, in bag order
+            assert not s & u
+            ground = (s | u).bit_count()
+            assert all(len(labels) == ground for labels in entries)
+            assert len(entries) <= 1 << max(ground - 1, 0)
 
 
 class TestReduceSoundness:
@@ -121,8 +125,7 @@ class TestReduceSoundness:
         for _ in range(30):
             n = rng.randint(2, 8)
             g = random_connected_graph(rng, n, rng.randint(0, n))
-            td = heuristic_td(g)
-            nd = make_nice(td, 0)
+            nd = make_nice(heuristic_td(g), 0)
             on = _tables_per_node(g, nd, True)
             off = _tables_per_node(g, nd, False)
             assert on.keys() == off.keys()
@@ -133,22 +136,11 @@ class TestReduceSoundness:
         rng = random.Random(99)
         for _ in range(25):
             n = rng.randint(2, 9)
-            g = random_connected_graph(rng, n, rng.randint(0, 2 * n))
-            td = heuristic_td(g)
-            nd = make_nice(td, 0)
-            tables, memo = {}, {}
-            for x in nd.postorder():
-                kids = nd.nodes[x].children
-                tables[x] = _node_table(g, nd, x, [tables[c] for c in kids], True, memo)
-                for (s, u), entries in tables[x].items():
-                    # join and glue need every label tuple to cover the
-                    # ground S | U, in bag order
-                    assert not s & u
-                    ground = (s | u).bit_count()
-                    assert all(len(labels) == ground for labels in entries)
-                    assert len(entries) <= 1 << max(ground - 1, 0)
-                for c in kids:
-                    del tables[c]
+            assert_cells_within_bound(random_connected_graph(rng, n, rng.randint(0, 2 * n)))
+
+    @pytest.mark.parametrize("name", sorted(DP_GADGETS))
+    def test_size_bound_on_gadgets(self, name):
+        assert_cells_within_bound(dp_instance(name))
 
     def test_reduce_on_off_same_answer(self):
         rng = random.Random(12321)
@@ -190,23 +182,34 @@ class TestJoinLookup:
             n = rng.randint(3, 10)
             g = random_connected_graph(rng, n, rng.randint(n // 2, 2 * n))
             nd = make_nice(heuristic_td(g), 0)
-            tables, memo = {}, {}
-            for x in nd.postorder():
-                kids = nd.nodes[x].children
-                child_tabs = [tables[c] for c in kids]
+            before = calls["n"]
+            for x, table, kids in _walk(g, nd, False):
                 if nd.nodes[x].kind == "join":
                     joins += 1
-                    before = calls["n"]
-                    ref = _reference_join(*child_tabs)
-                    mid = calls["n"]
-                    tables[x] = _node_table(g, nd, x, child_tabs, False, memo)
+                    mid = calls["n"]  # the walk made mid - before calls to build this join
+                    ref = _reference_join(*kids)
                     assert calls["n"] - mid == mid - before
-                    assert list(tables[x]) == list(ref)
-                    for cell, entries in tables[x].items():
+                    assert list(table) == list(ref)
+                    for cell, entries in table.items():
                         assert list(entries.items()) == list(ref[cell].items())
-                else:
-                    tables[x] = _node_table(g, nd, x, child_tabs, False, memo)
-                for c in kids:
-                    del tables[c]
+                before = calls["n"]
         assert joins >= 40
 
+
+# sha256 of the certificate text of solve_treewidth's witness: a change in
+# table order or tie-breaking that picks another optimal matching shows here
+CERT_DIGESTS = {
+    "ktree-dp-0": "45f094bb7f91de8de3f6e6ce9dbf255c654f6adab748c10d7759ca91f4a64efd",
+    "ktree-dp-1": "b34945a77037681af8ed05fbb0a60b29f50ba8a1fd72d03a3eb76e83a497986b",
+    "ktree-dp-2": "c017fdbd42cf66e949913c847c5f757e644520c0ffb59edc01ab1ff822899b3a",
+    "ktree-dp-3": "1d977582c9b0faa9b1427598f7484b6bb6f1f79dfcbf9ff112e5c69ea88d635e",
+    "ktree-dp-4": "2864c6f458440b295f7d4c9dacae90d689f0f5ca0f4e7ad30225a7afc0bc1f4b",
+    "starlike-3": "3882a76e20cf3d30252925777b51e7f4ab71f8aea67d09739d1e90ce561f083f",
+    "bip4-4": "18a3a98005c86689e5bebd810ee3ff034534687a65c209f808cc0fc2f7b82a82",
+}
+
+
+@pytest.mark.parametrize("name", CERT_DIGESTS)
+def test_witness_is_pinned(name):
+    _, m = solve_treewidth(dp_instance(name))
+    assert hashlib.sha256(write_certificate_text(m).encode()).hexdigest() == CERT_DIGESTS[name]
