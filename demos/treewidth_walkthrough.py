@@ -27,6 +27,9 @@ nd = make_nice(td, pi=0)
 kinds = [nd.nodes[i].kind for i in nd.postorder()]
 print(f"\nnice form rooted at the forget node of vertex 0: {len(nd.nodes)} nodes")
 print("  node kinds:", {k: kinds.count(k) for k in ("leaf", "introduce", "forget", "join")})
+# a node's cells are keyed by disjoint (S, U): each bag vertex is unused,
+# matched or half-matched, so the sum of 3^|bag| bounds the DP's cells
+print("  sum of 3^|bag| over the nodes:", sum(3 ** len(node.bag) for node in nd.nodes))
 
 # walk the solver's DP node by node to watch the table sizes, with pruning
 # on and off; every cell must stay within the representative bound 2^(|ground|-1)

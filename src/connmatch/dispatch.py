@@ -13,7 +13,7 @@ from typing import Optional
 
 from .chordal_solver import solve_chordal
 from .degree2_solver import solve_degree_two
-from .graphs import GraphError, Matching, WeightedGraph, _component_labels, chordal_peo
+from .graphs import GraphError, Matching, WeightedGraph, _component_labels, _label_groups, chordal_peo
 from .oracle import brute_mwcm
 from .tree_solver import solve_tree
 from .treedecomp import TreeDecomposition, heuristic_td, validate_td
@@ -73,9 +73,8 @@ def dispatch_solve(
         raise GraphError("an explicit decomposition requires a connected graph")
     best_w = 0
     best: Matching = Matching(g, [])
-    for comp in g.components(label):
-        if len(comp) < 2:
-            continue  # no edge, so it scores 0, which never beats best_w
+    # a component of one vertex has no edge, so it scores 0 and never beats best_w
+    for comp in _label_groups(label, 2):
         sub, _, edge_map = g.induced(comp)
         w, m = _solve_component(sub, solver, None, brute_limit)
         if w > best_w:

@@ -150,6 +150,23 @@ def _component_labels(n: int, lo, hi):
     return label
 
 
+def _label_groups(label, min_size: int) -> list[list[int]]:
+    """The vertices of each component of at least ``min_size`` vertices, as
+    sorted lists in label order, from the labelling of
+    :func:`_component_labels`. Vertices of smaller components are dropped
+    before grouping, so no list is built for them."""
+    import numpy as np
+
+    keep = np.flatnonzero(np.bincount(label)[label] >= min_size)
+    if not keep.size:
+        return []
+    order = keep[np.argsort(label[keep], kind="stable")]
+    grouped = label[order]
+    cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
+    flat = order.tolist()
+    return [flat[a:b] for a, b in zip([0, *cuts], [*cuts, len(flat)])]
+
+
 class WeightedGraph:
     """Undirected simple graph with integer edge weights.
 
@@ -322,8 +339,6 @@ class WeightedGraph:
         """Connected components as sorted vertex lists, in order of their
         smallest vertex. ``label`` is the graph's component labelling, if
         the caller has already computed it."""
-        import numpy as np
-
         n = self.n
         if n == 0:
             return []
@@ -331,11 +346,7 @@ class WeightedGraph:
             label = _component_labels(n, *self.endpoint_arrays())
         if not label.any():
             return [list(range(n))]
-        order = np.argsort(label, kind="stable")
-        grouped = label[order]
-        cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
-        flat = order.tolist()
-        return [flat[a:b] for a, b in zip([0, *cuts], [*cuts, n])]
+        return _label_groups(label, 1)
 
     def induced(self, vertices: Sequence[int]) -> tuple["WeightedGraph", list[int], dict[int, int]]:
         """Subgraph induced by ``vertices``.

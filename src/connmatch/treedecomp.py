@@ -7,6 +7,11 @@ after each elimination, re-scores only the vertices whose score can change
 on sparse graphs of bounded width it runs in about O(n log n).
 :func:`validate_td` indexes bags by vertex once and is linear in the total
 bag size plus the number of edges.
+
+The treewidth DP's work grows with the sum of 3^|bag| over the nodes of the
+nice form. :func:`make_nice` therefore joins children on the bag vertices
+they share with their parent, not on the whole parent bag, and introduces
+the parent's other vertices once, after the last join.
 """
 
 from __future__ import annotations
@@ -219,8 +224,11 @@ def make_nice(td: TreeDecomposition, pi: int) -> NiceTreeDecomposition:
     """Convert ``td`` to nice form whose root is the empty forget bag for ``pi``.
 
     The bag tree is re-rooted at a bag containing ``pi`` so that ``pi`` is
-    forgotten last; each original bag is assembled bottom-up from leaf /
-    introduce / forget / join nodes of the same width.
+    forgotten last. Each original bag is assembled bottom-up: every child
+    chain forgets down to the vertices it shares with the bag, the children
+    are joined in order, each join on the union of the shared vertices
+    joined so far, and one chain then introduces the rest of the bag (from a
+    leaf, for a bag without children). No node is wider than the widest bag.
     """
     holders = [i for i, b in enumerate(td.bags) if pi in b]
     if not holders:
@@ -252,17 +260,15 @@ def make_nice(td: TreeDecomposition, pi: int) -> NiceTreeDecomposition:
     built: dict[int, int] = {}
     for bag_id in reversed(order):
         target = td.bags[bag_id]
-        kid_tops = []
-        for c in children[bag_id]:
-            kid_tops.append(chain_to(built[c], target))
+        kid_tops = [chain_to(built[c], td.bags[c] & target) for c in children[bag_id]]
         if not kid_tops:
             top = add("leaf", frozenset())
-            top = chain_to(top, target)
         else:
             top = kid_tops[0]
             for other in kid_tops[1:]:
-                top = add("join", target, [top, other])
-        built[bag_id] = top
+                union = nodes[top].bag | nodes[other].bag
+                top = add("join", union, [chain_to(top, union), chain_to(other, union)])
+        built[bag_id] = chain_to(top, target)
 
     top = built[root_bag]
     cur = set(td.bags[root_bag])

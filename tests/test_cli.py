@@ -65,6 +65,15 @@ class TestDispatch:
             assert dispatch_solve(g, solver)[1].edge_ids == (0,)  # the edge of weight 5
         assert time.perf_counter() - start < 0.5
 
+    def test_million_isolated_vertices_are_never_grouped(self):
+        # grouping every one-vertex component took ~1.4 s on a 2-core x86_64 VM
+        WeightedGraph(2, [(0, 1, 1)]).components()  # load numpy outside the timing
+        g = WeightedGraph(10**6, [(0, 1, 5)])
+        start = time.perf_counter()
+        w, m = dispatch_solve(g)
+        assert time.perf_counter() - start < 1.0
+        assert (w, m.edge_ids) == (5, (0,))
+
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_given_td_is_validated_whatever_the_solver(self, solver):
         # bag {0, 1} leaves vertex 2 of the path uncovered

@@ -3,7 +3,9 @@ from collections import deque
 
 import pytest
 
+import reference_nice
 from connmatch.graphs import GraphError, WeightedGraph, is_connected
+from connmatch.oracle import brute_mwcm
 from connmatch.treedecomp import (
     NiceTreeDecomposition,
     TdError,
@@ -12,7 +14,18 @@ from connmatch.treedecomp import (
     make_nice,
     validate_td,
 )
-from conftest import bench, bench_graph, complete_graph, cycle_graph, path_graph, random_connected_graph, random_tree
+from connmatch.treewidth_solver import _run_dp
+from conftest import (
+    DP_GADGETS,
+    bench,
+    bench_graph,
+    complete_graph,
+    cycle_graph,
+    dp_instance,
+    path_graph,
+    random_connected_graph,
+    random_tree,
+)
 
 
 # Reference versions: the quadratic code the library used before the heap and
@@ -402,3 +415,50 @@ class TestMakeNice:
         td = TreeDecomposition.build([{0, 1}], [])
         with pytest.raises(TdError):
             make_nice(td, pi=7)
+
+
+def cells_bound(nd: NiceTreeDecomposition) -> int:
+    """The sum of 3^|bag| over the nice nodes, which bounds the DP's table cells."""
+    return sum(3 ** len(node.bag) for node in nd.nodes)
+
+
+class TestJoinsOnSharedVertices:
+    """Each join runs on the union of the bag vertices its children share
+    with their parent bag, not on the whole parent bag as the reference
+    ``reference_nice.make_nice`` does."""
+
+    def test_never_costlier_than_whole_bag_joins(self):
+        rng = random.Random(24)
+        cheaper = 0
+        for _ in range(30):
+            n = rng.randint(2, 14)
+            g = random_connected_graph(rng, n, rng.randint(0, n))
+            best = brute_mwcm(g, edge_limit=64).optimum
+            for method in METHODS:
+                td = heuristic_td(g, method)
+                for pi in range(n):
+                    nd, ref = make_nice(td, pi), reference_nice.make_nice(td, pi)
+                    check_nice_invariants(g, nd)
+                    assert nd.width == ref.width == td.width
+                    assert cells_bound(nd) <= cells_bound(ref)
+                    cheaper += cells_bound(nd) < cells_bound(ref)
+                    found = [_run_dp(g, form, True) for form in (nd, ref)]
+                    assert [max(c[0], 0) if c else 0 for c in found] == [best, best]
+        assert cheaper > 0
+
+    # sum of 3^|bag| of make_nice(heuristic_td(g), 0): (this form, reference form).
+    # bip4-4 gains nothing: at each of its joins the children together share
+    # the whole parent bag, so both forms join on the same bags.
+    PINNED = {
+        "ktree-dp-0": (44_527, 94_117),
+        "starlike-3": (7_160, 8_375),
+        "bip4-4": (254_547, 254_547),
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_bound_is_pinned(self, name):
+        assert set(self.PINNED) == {"ktree-dp-0", *DP_GADGETS}
+        td = heuristic_td(dp_instance(name))
+        new, ref = self.PINNED[name]
+        assert cells_bound(make_nice(td, 0)) == new
+        assert cells_bound(reference_nice.make_nice(td, 0)) == ref
