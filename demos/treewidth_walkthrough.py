@@ -8,6 +8,7 @@ Run as: python demos/treewidth_walkthrough.py
 import random
 
 from connmatch import WeightedGraph, brute_mwcm, heuristic_td, make_nice, solve_treewidth, validate_td
+from connmatch.treedecomp import cell_bound
 from connmatch.treewidth_solver import _walk
 
 rng = random.Random(3)
@@ -29,7 +30,7 @@ print(f"\nnice form rooted at the forget node of vertex 0: {len(nd.nodes)} nodes
 print("  node kinds:", {k: kinds.count(k) for k in ("leaf", "introduce", "forget", "join")})
 # a node's cells are keyed by disjoint (S, U): each bag vertex is unused,
 # matched or half-matched, so the sum of 3^|bag| bounds the DP's cells
-print("  sum of 3^|bag| over the nodes:", sum(3 ** len(node.bag) for node in nd.nodes))
+print("  sum of 3^|bag| over the nodes:", cell_bound(nd))
 
 # walk the solver's DP node by node to watch the table sizes, with pruning
 # on and off; every cell must stay within the representative bound 2^(|ground|-1)

@@ -150,21 +150,50 @@ def _component_labels(n: int, lo, hi):
     return label
 
 
-def _label_groups(label, min_size: int) -> list[list[int]]:
-    """The vertices of each component of at least ``min_size`` vertices, as
-    sorted lists in label order, from the labelling of
-    :func:`_component_labels`. Vertices of smaller components are dropped
-    before grouping, so no list is built for them."""
+def _label_groups(label) -> list[list[int]]:
+    """The vertices of each component, as sorted lists in label order, from
+    the labelling of :func:`_component_labels`."""
     import numpy as np
 
-    keep = np.flatnonzero(np.bincount(label)[label] >= min_size)
-    if not keep.size:
-        return []
-    order = keep[np.argsort(label[keep], kind="stable")]
+    order = np.argsort(label, kind="stable")
     grouped = label[order]
     cuts = (np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()
     flat = order.tolist()
     return [flat[a:b] for a, b in zip([0, *cuts], [*cuts, len(flat)])]
+
+
+def _component_subgraphs(g: "WeightedGraph", label) -> list[tuple["WeightedGraph", object]]:
+    """The subgraph of each component of ``g`` that has an edge, in label
+    order, with the int64 array of its edges' ids in ``g``. ``label`` is the
+    labelling of :func:`_component_labels`. A subgraph equals
+    ``g.induced(component)[0]``, edges in the same order, but it is cut from
+    the edge columns grouped by label, so ``g.adj`` is never built."""
+    import numpy as np
+
+    lo, hi = g.endpoint_arrays()
+    if not lo.size:
+        return []
+    ws = g.weight_array()
+    if ws is None:  # a weight beyond int64: index the Python ints instead
+        ws = np.array(g.weights, dtype=object)
+    size = np.bincount(label)
+    # a vertex's id in its subgraph: its rank in its component
+    keep = np.flatnonzero(size[label] >= 2)
+    order = keep[np.argsort(label[keep], kind="stable")]
+    grouped = label[order]
+    pos = np.zeros(g.n, dtype=np.int64)
+    pos[order] = np.arange(order.size) - np.searchsorted(grouped, grouped)
+    elabel = label[lo]
+    eorder = np.argsort(elabel, kind="stable")
+    egrouped = elabel[eorder]
+    cuts = (np.flatnonzero(egrouped[1:] != egrouped[:-1]) + 1).tolist()
+    sub_lo, sub_hi = pos[lo], pos[hi]
+    out = []
+    for a, b in zip([0, *cuts], [*cuts, eorder.size]):
+        ids = eorder[a:b]
+        sub = WeightedGraph.from_columns(int(size[egrouped[a]]), sub_lo[ids], sub_hi[ids], ws[ids])
+        out.append((sub, ids))
+    return out
 
 
 class WeightedGraph:
@@ -346,7 +375,7 @@ class WeightedGraph:
             label = _component_labels(n, *self.endpoint_arrays())
         if not label.any():
             return [list(range(n))]
-        return _label_groups(label, 1)
+        return _label_groups(label)
 
     def induced(self, vertices: Sequence[int]) -> tuple["WeightedGraph", list[int], dict[int, int]]:
         """Subgraph induced by ``vertices``.

@@ -1,17 +1,20 @@
-"""Tree decompositions: validation, elimination-order heuristics, and
-conversion to nice form rooted at a chosen vertex's forget node.
+"""Tree decompositions: validation, elimination-order heuristics, the exact
+decomposition of a chordal graph, and conversion to nice form rooted at a
+chosen vertex's forget node.
 
 Costs: :func:`heuristic_td` keeps the elimination candidates in a heap and,
 after each elimination, re-scores only the vertices whose score can change
 (the eliminated vertex's neighbours, plus their neighbours for min-fill), so
 on sparse graphs of bounded width it runs in about O(n log n).
+:func:`peo_td` reads a chordal graph's decomposition off a perfect
+elimination ordering in O(n + m), and both link their bags the same way.
 :func:`validate_td` indexes bags by vertex once and is linear in the total
 bag size plus the number of edges.
 
-The treewidth DP's work grows with the sum of 3^|bag| over the nodes of the
-nice form. :func:`make_nice` therefore joins children on the bag vertices
-they share with their parent, not on the whole parent bag, and introduces
-the parent's other vertices once, after the last join.
+The treewidth DP's work grows with :func:`cell_bound`, the sum of 3^|bag|
+over the nodes of the nice form. :func:`make_nice` therefore joins children
+on the bag vertices they share with their parent, not on the whole parent
+bag, and introduces the parent's other vertices once, after the last join.
 """
 
 from __future__ import annotations
@@ -182,15 +185,36 @@ def heuristic_td(g: WeightedGraph, method: str = "min-fill") -> TreeDecompositio
                 key[x] = kx
                 heapq.heappush(heap, kx)
 
+    return _link_elimination_bags(bags, elim_pos)
+
+
+def _link_elimination_bags(bags: list, elim_pos) -> TreeDecomposition:
+    """The decomposition of the bags of an elimination ordering: ``bags[i]``
+    holds the i-th eliminated vertex and its neighbours left at that point,
+    and ``elim_pos[v]`` is the step that eliminates ``v``. Each bag hangs on
+    the bag of its earliest later member; a bag without one (the last bag of
+    a connected graph) hangs on the next bag."""
     tree_edges = []
     for i, bag in enumerate(bags):
-        rest = [u for u in bag if elim_pos[u] > i]
-        if rest:
-            nxt = min(rest, key=lambda u: elim_pos[u])
-            tree_edges.append((i, elim_pos[nxt]))
+        later = [elim_pos[u] for u in bag if elim_pos[u] > i]
+        if later:
+            tree_edges.append((i, min(later)))
         elif i + 1 < len(bags):
             tree_edges.append((i, i + 1))
     return TreeDecomposition.build(bags, tree_edges)
+
+
+def peo_td(g: WeightedGraph, order) -> TreeDecomposition:
+    """The decomposition of a chordal graph from a perfect elimination
+    ordering ``order`` (as :func:`~connmatch.graphs.chordal_peo` returns):
+    the bag of ``v`` is ``v`` and its neighbours later in ``order``. Every
+    bag is a clique and every maximal clique is a bag, so the width is the
+    treewidth, the largest clique minus one. Linear in n + m."""
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    bags = [frozenset([v, *(u for u in g.neighbors(v) if pos[u] > i)]) for i, v in enumerate(order)]
+    return _link_elimination_bags(bags, pos)
 
 
 class NiceNode(NamedTuple):
@@ -218,6 +242,13 @@ class NiceTreeDecomposition(NamedTuple):
             stack.extend(self.nodes[x].children)
         out.reverse()
         return out
+
+
+def cell_bound(nd: NiceTreeDecomposition) -> int:
+    """The sum of 3^|bag| over the nice nodes. A DP cell keys each bag
+    vertex as unused, matched or half-matched, so this bounds the treewidth
+    DP's table cells, and its time grows with it."""
+    return sum(3 ** len(node.bag) for node in nd.nodes)
 
 
 def make_nice(td: TreeDecomposition, pi: int) -> NiceTreeDecomposition:

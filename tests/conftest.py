@@ -116,6 +116,14 @@ def random_chordal_graph(
     return WeightedGraph(n, edges)
 
 
+def random_ktree(rng: random.Random, n: int, k: int, wlo: int = 0, whi: int = 10) -> WeightedGraph:
+    """A random k-tree on ``n > k`` vertices: the benchmark's partial k-tree
+    shape with every edge kept and no extra chord. Every vertex after the
+    first k + 1 joins a k-clique, so the largest cliques have k + 1 vertices."""
+    pairs = bench.partial_ktree_shape(rng, n, k, 1.0, 0)
+    return WeightedGraph(n, [(u, v, rng.randint(wlo, whi)) for u, v in pairs])
+
+
 def naive_mwcm(g: WeightedGraph):
     """Reference maximum weight connected matching: loop over all edge subsets."""
     best_w, best_set = 0, frozenset()

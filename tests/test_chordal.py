@@ -4,6 +4,7 @@ from collections import deque
 import pytest
 
 from connmatch.chordal_solver import build_gp, max_weight_perfect_matching, solve_chordal
+from connmatch.dispatch import dispatch_solve
 from connmatch.graphs import (
     GraphError,
     WeightedGraph,
@@ -12,7 +13,15 @@ from connmatch.graphs import (
 )
 from connmatch.oracle import brute_mwcm
 from connmatch.treewidth_solver import solve_treewidth
-from conftest import brute_mwpm, complete_graph, path_graph, random_chordal_graph, random_connected_graph
+from conftest import (
+    bench,
+    bench_graph,
+    brute_mwpm,
+    complete_graph,
+    path_graph,
+    random_chordal_graph,
+    random_connected_graph,
+)
 
 
 def _rungs(gp, n):
@@ -172,9 +181,9 @@ class TestSolveChordal:
 
 class TestCrossSolver:
     """Checks beyond brute force's reach: the chordal solver against the
-    treewidth DP on chordal graphs up to n=200. Cliques of at most 4
-    vertices keep the width at 3 or below; weights 0..3 make zero edges and
-    ties common."""
+    treewidth DP on chordal graphs up to n=200, and against ``auto`` on the
+    benchmark's chordal graphs of n=300. Cliques of at most 4 vertices keep
+    the width at 3 or below; weights 0..3 make zero edges and ties common."""
 
     @pytest.mark.parametrize("n, seed", [(40, 1), (80, 2), (120, 3), (160, 4), (200, 5), (200, 6)])
     def test_chordal_agrees_with_treewidth_dp(self, n, seed):
@@ -185,3 +194,11 @@ class TestCrossSolver:
         for w, m in ((w_chordal, m_chordal), (w_dp, m_dp)):
             assert m.weight == w
             assert induced_by_matching_connected(g, m)
+
+    @pytest.mark.parametrize("seed, clique", [(1, 4), (2, 4), (3, 6), (4, 6), (5, 8)])
+    def test_auto_agrees_with_the_chordal_solver(self, seed, clique):
+        # the benchmark's chordal family; auto solves these with the treewidth DP
+        g = bench_graph(bench.chordal(random.Random(seed), 300, clique))
+        w_auto, m_auto = dispatch_solve(g)
+        assert w_auto == solve_chordal(g)[0]
+        assert m_auto.weight == w_auto and induced_by_matching_connected(g, m_auto)

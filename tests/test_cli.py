@@ -1,16 +1,29 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import nullcontext
+from pathlib import Path
 
 import pytest
 
-from connmatch import cli, fileio
+from connmatch import cli, dispatch, fileio
 from connmatch.cli import main
 from connmatch.dispatch import SOLVERS, dispatch_solve
-from connmatch.graphs import GraphError, WeightedGraph
+from connmatch.graphs import GraphError, WeightedGraph, induced_by_matching_connected
 from connmatch.oracle import brute_mwcm
 from connmatch.treedecomp import TdError, TreeDecomposition
-from conftest import cycle_graph, path_graph, random_chordal_graph, random_connected_graph, random_tree
+from conftest import (
+    cycle_graph,
+    path_graph,
+    random_chordal_graph,
+    random_connected_graph,
+    random_ktree,
+    random_tree,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -74,6 +87,19 @@ class TestDispatch:
         assert time.perf_counter() - start < 1.0
         assert (w, m.edge_ids) == (5, (0,))
 
+    def test_components_are_cut_without_adjacency(self):
+        rng = random.Random(5)
+        parts = [random_chordal_graph(rng, 8), random_tree(rng, 6), cycle_graph([2, -1, 3, 4])]
+        edges, offset = [], 0
+        for part in parts:
+            edges += [(u + offset, v + offset, w) for u, v, w in part.edges]
+            offset += part.n
+        g = WeightedGraph(offset + 3, edges)  # and three isolated vertices
+        w, m = dispatch_solve(g)
+        assert w == max(brute_mwcm(part, edge_limit=40).optimum for part in parts)
+        assert m.weight == w and induced_by_matching_connected(g, m)
+        assert g._adj is None
+
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_given_td_is_validated_whatever_the_solver(self, solver):
         # bag {0, 1} leaves vertex 2 of the path uncovered
@@ -94,6 +120,63 @@ class TestDispatch:
             n = rng.randint(1, 9)
             g = random_connected_graph(rng, n, rng.randint(0, 2 * n))
             assert dispatch_solve(g)[0] == brute_mwcm(g, edge_limit=60).optimum
+
+
+def _count_routes(monkeypatch) -> dict:
+    """Count the calls ``dispatch`` makes to the treewidth DP and to the
+    chordal solver."""
+    calls = {"solve_treewidth": 0, "solve_chordal": 0}
+    for name in calls:
+        solver = getattr(dispatch, name)
+
+        def counted(*args, _solver=solver, _name=name, **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(dispatch, name, counted)
+    return calls
+
+
+class TestChordalRoute:
+    """``auto`` sends a non-negative chordal component to the treewidth DP
+    on its perfect-elimination decomposition while that decomposition's
+    cell bound is at most ``CHORDAL_DP_CELLS_PER_VERTEX`` per vertex, and
+    to the chordal solver above it."""
+
+    def test_auto_matches_oracle_on_both_sides_of_the_threshold(self, monkeypatch):
+        calls = _count_routes(monkeypatch)
+        rng = random.Random(25)
+        graphs = [random_chordal_graph(rng, rng.randint(4, 12), 0, 9) for _ in range(40)]
+        graphs += [random_ktree(rng, rng.randint(k + 2, 12), k, 0, 9) for k in (2, 3, 4, 5, 6) for _ in range(4)]
+        for g in graphs:
+            w, m = dispatch_solve(g)
+            assert w == brute_mwcm(g, edge_limit=64).optimum
+            assert m.weight == w and induced_by_matching_connected(g, m)
+        assert calls["solve_treewidth"] > 0 and calls["solve_chordal"] > 0
+
+    def test_sparse_chordal_goes_to_the_dp(self, monkeypatch):
+        calls = _count_routes(monkeypatch)
+        dispatch_solve(random_chordal_graph(random.Random(6), 200, 0, 9, max_clique=4))
+        assert calls == {"solve_treewidth": 1, "solve_chordal": 0}
+
+    def test_dense_ktree_goes_to_the_blossom(self, monkeypatch):
+        calls = _count_routes(monkeypatch)
+        dispatch_solve(random_ktree(random.Random(7), 60, 6))
+        assert calls == {"solve_treewidth": 0, "solve_chordal": 1}
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    def test_only_the_blossom_loads_networkx(self, tmp_path, dense):
+        g = random_ktree(random.Random(8), 60, 6) if dense else random_chordal_graph(random.Random(8), 300, 0, 9, 4)
+        path = tmp_path / "g.gr"
+        fileio.write_graph(g, path)
+        code = (
+            "import sys; from connmatch.cli import main; "
+            f"rc = main(['solve', '--graph', {str(path)!r}]); print(rc, 'networkx' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == f"0 {dense}"
 
 
 class TestCliSolveVerify:

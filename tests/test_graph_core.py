@@ -16,6 +16,7 @@ import time
 from collections import deque
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from connmatch.dispatch import dispatch_solve
@@ -23,6 +24,8 @@ from connmatch.graphs import (
     GraphError,
     Matching,
     WeightedGraph,
+    _component_labels,
+    _component_subgraphs,
     induced_by_matching_connected,
     is_connected,
 )
@@ -221,6 +224,24 @@ class TestInducedMatchesReference:
             ref = reference_induced(g, comp)
             assert got[0].edges == ref[0].edges and got[1:] == ref[1:]
 
+    def test_component_cuts_match_induced(self):
+        rng = random.Random(204)
+        for trial in range(100):
+            n = rng.randint(0, 25)
+            g = random_graph(rng, n, rng.randint(0, n))
+            if trial % 3 == 0:  # a weight beyond int64 leaves the graph without a weight array
+                g = WeightedGraph(n, [(u, v, w * 2**70) for u, v, w in g.edges])
+            elif trial % 3 == 1:  # a graph held as int64 columns
+                g = WeightedGraph.from_columns(n, *(np.array(c, dtype=np.int64) for c in (g.lo, g.hi, g.weights)))
+            cuts = _component_subgraphs(g, _component_labels(n, *g.endpoint_arrays()))
+            assert g._adj is None
+            comps = [c for c in reference_components(g) if len(c) > 1]
+            assert len(cuts) == len(comps)
+            for (sub, ids), comp in zip(cuts, comps):
+                ref_sub, _, ref_map = reference_induced(g, comp)
+                assert sub.n == ref_sub.n and sub.edges == ref_sub.edges
+                assert ids.tolist() == [ref_map[e] for e in range(ref_sub.m)]
+
     def test_vertex_outside_the_graph_stays_isolated(self):
         g = WeightedGraph(3, [(0, 1, 4), (1, 2, 5)])
         sub, old_ids, edge_map = g.induced([1, 2, 7])
@@ -295,8 +316,6 @@ class TestColumns:
 
     def test_int64_arrays_match_triples(self):
         """Numpy columns give the graph of the triples, or the same error."""
-        import numpy as np
-
         def outcome(build):
             try:
                 g = build()
@@ -339,8 +358,6 @@ class TestColumns:
     def test_int64_arrays_build_no_tuples(self):
         """A graph built from int64 arrays keeps read-only arrays as its
         columns and builds the tuples only when they are read."""
-        import numpy as np
-
         us, vs, ws = (np.array(c, dtype=np.int64) for c in ([2, 1, 3], [0, 3, 2], [5, -2, 2**63 - 1]))
         g = WeightedGraph.from_columns(4, us, vs, ws)
         assert (g._lo, g._hi, g._weights, g._edges, g._adj) == (None,) * 5

@@ -1,17 +1,20 @@
 import random
 from collections import deque
+from itertools import combinations
 
 import pytest
 
 import reference_nice
-from connmatch.graphs import GraphError, WeightedGraph, is_connected
+from connmatch.graphs import GraphError, WeightedGraph, chordal_peo, is_connected
 from connmatch.oracle import brute_mwcm
 from connmatch.treedecomp import (
     NiceTreeDecomposition,
     TdError,
     TreeDecomposition,
+    cell_bound,
     heuristic_td,
     make_nice,
+    peo_td,
     validate_td,
 )
 from connmatch.treewidth_solver import _run_dp
@@ -23,7 +26,9 @@ from conftest import (
     cycle_graph,
     dp_instance,
     path_graph,
+    random_chordal_graph,
     random_connected_graph,
+    random_ktree,
     random_tree,
 )
 
@@ -245,6 +250,39 @@ class TestHeuristicMatchesReference:
             assert str(new.value) == str(ref.value)
 
 
+def clique_number(g: WeightedGraph) -> int:
+    """The size of a largest clique, by trying vertex subsets from the largest."""
+    edges = {(u, v) for u, v, _ in g.edges}
+    for k in range(g.n, 1, -1):
+        if any(all(p in edges for p in combinations(c, 2)) for c in combinations(range(g.n), k)):
+            return k
+    return min(g.n, 1)
+
+
+class TestPeoTd:
+    """The decomposition read off a perfect elimination ordering is exact on
+    chordal graphs: valid, and as wide as the largest clique minus one."""
+
+    def test_valid_and_exact_on_chordal_graphs(self):
+        rng = random.Random(25)
+        graphs = [random_chordal_graph(rng, rng.randint(1, 12)) for _ in range(60)]
+        graphs += [random_chordal_graph(rng, rng.randint(2, 12), max_clique=3) for _ in range(20)]
+        graphs += [random_ktree(rng, rng.randint(k + 1, 12), k) for k in range(1, 7) for _ in range(5)]
+        graphs += [complete_graph(6, lambda u, v: 1), path_graph([1, 2, 3])]
+        for g in graphs:
+            peo = chordal_peo(g)
+            assert peo is not None
+            td = peo_td(g, peo)
+            assert len(td.bags) == g.n
+            assert validate_td(g, td) == clique_number(g) - 1
+
+    def test_as_wide_as_min_fill(self):
+        rng = random.Random(26)
+        for _ in range(20):
+            g = random_chordal_graph(rng, rng.randint(20, 60), max_clique=5)
+            assert peo_td(g, chordal_peo(g)).width == heuristic_td(g).width
+
+
 def _corruptions(rng: random.Random, g: WeightedGraph, td: TreeDecomposition):
     """Yield ``(message prefix, graph, decomposition)`` triples, each breaking
     the valid ``td`` for ``g``. The prefix names the check that must fail, or
@@ -417,11 +455,6 @@ class TestMakeNice:
             make_nice(td, pi=7)
 
 
-def cells_bound(nd: NiceTreeDecomposition) -> int:
-    """The sum of 3^|bag| over the nice nodes, which bounds the DP's table cells."""
-    return sum(3 ** len(node.bag) for node in nd.nodes)
-
-
 class TestJoinsOnSharedVertices:
     """Each join runs on the union of the bag vertices its children share
     with their parent bag, not on the whole parent bag as the reference
@@ -440,8 +473,8 @@ class TestJoinsOnSharedVertices:
                     nd, ref = make_nice(td, pi), reference_nice.make_nice(td, pi)
                     check_nice_invariants(g, nd)
                     assert nd.width == ref.width == td.width
-                    assert cells_bound(nd) <= cells_bound(ref)
-                    cheaper += cells_bound(nd) < cells_bound(ref)
+                    assert cell_bound(nd) <= cell_bound(ref)
+                    cheaper += cell_bound(nd) < cell_bound(ref)
                     found = [_run_dp(g, form, True) for form in (nd, ref)]
                     assert [max(c[0], 0) if c else 0 for c in found] == [best, best]
         assert cheaper > 0
@@ -460,5 +493,5 @@ class TestJoinsOnSharedVertices:
         assert set(self.PINNED) == {"ktree-dp-0", *DP_GADGETS}
         td = heuristic_td(dp_instance(name))
         new, ref = self.PINNED[name]
-        assert cells_bound(make_nice(td, 0)) == new
-        assert cells_bound(reference_nice.make_nice(td, 0)) == ref
+        assert cell_bound(make_nice(td, 0)) == new
+        assert cell_bound(reference_nice.make_nice(td, 0)) == ref
