@@ -19,7 +19,7 @@ from .graphs import (
     classify,
     induced_by_matching_connected,
 )
-from .treedecomp import heuristic_td, validate_td
+from .treedecomp import heuristic_td
 
 if TYPE_CHECKING:  # only generate and map-cert load the reductions
     from .reductions import LabeledInstance
@@ -162,9 +162,8 @@ def _cmd_map_cert(args) -> int:
 def _cmd_decompose(args) -> int:
     g = fileio.parse_graph(args.graph)
     td = heuristic_td(g, args.method)
-    width = validate_td(g, td)
     fileio.write_td(td, g.n, args.out)
-    print(f"width {width}")
+    print(f"width {td.width}")
     return 0
 
 

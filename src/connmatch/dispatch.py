@@ -6,9 +6,11 @@ then brute force for small edge counts, and the treewidth DP for the rest.
 A chordal component's perfect elimination ordering gives an exact tree
 decomposition; the treewidth DP runs on it while its cell bound stays at
 most ``CHORDAL_DP_CELLS_PER_VERTEX`` per vertex, and the chordal solver's
-blossom takes the denser ones. A connected matching lives inside one
-component, so disconnected inputs are solved per component with an edge,
-each cut from the edge columns, and the maximum is returned.
+blossom takes the denser ones. A component's nice form is built here once,
+for the bound and the DP, and only a caller's ``td`` is validated. A
+connected matching lives inside one component, so disconnected inputs are
+solved per component with an edge, each cut from the edge columns, and the
+maximum is returned.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .graphs import GraphError, Matching, WeightedGraph, _component_labels, _com
 from .oracle import brute_mwcm
 from .tree_solver import solve_tree
 from .treedecomp import TreeDecomposition, cell_bound, heuristic_td, make_nice, peo_td, validate_td
-from .treewidth_solver import solve_treewidth
+from .treewidth_solver import _solve_nice, solve_treewidth
 
 SOLVERS = ("auto", "brute", "tree", "cycle", "chordal", "treewidth")
 
@@ -53,17 +55,18 @@ def _solve_component(
         return solve_tree(g)
     if g.max_degree() <= 2:
         return solve_degree_two(g)
-    if all(w >= 0 for w in g.weights):
-        peo = chordal_peo(g)
-        if peo is not None:
-            chordal_td = peo_td(g, peo)
-            if cell_bound(make_nice(chordal_td, 0)) <= CHORDAL_DP_CELLS_PER_VERTEX * g.n:
-                return solve_treewidth(g, chordal_td)
-            return solve_chordal(g)
-    if g.m <= brute_limit:
+    peo = chordal_peo(g) if all(w >= 0 for w in g.weights) else None
+    if peo is None and g.m <= brute_limit:
         res = brute_mwcm(g, edge_limit=brute_limit)
         return res.optimum, res.witness
-    return solve_treewidth(g, td if td is not None else heuristic_td(g))
+    if peo is not None:
+        td = peo_td(g, peo)
+    elif td is None:
+        td = heuristic_td(g)
+    nd = make_nice(td, 0)
+    if peo is not None and cell_bound(nd) > CHORDAL_DP_CELLS_PER_VERTEX * g.n:
+        return solve_chordal(g)
+    return _solve_nice(g, nd)
 
 
 def dispatch_solve(
@@ -74,14 +77,14 @@ def dispatch_solve(
 ) -> tuple[int, Matching]:
     """Solve ``g`` with the requested solver; disconnected inputs are solved
     per component and the best component answer is returned. A given ``td``
-    is validated against ``g`` whichever solver runs."""
+    is validated against ``g`` once, whichever solver runs."""
     if solver not in SOLVERS:
         raise GraphError(f"unknown solver {solver!r}; choose one of {SOLVERS}")
     if g.n == 0:
         return 0, Matching(g, [])
     label = _component_labels(g.n, *g.endpoint_arrays())
     if not label.any():
-        if td is not None:
+        if td is not None and solver != "treewidth":  # solve_treewidth validates it
             validate_td(g, td)
         return _solve_component(g, solver, td, brute_limit)
     if td is not None:

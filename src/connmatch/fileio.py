@@ -95,12 +95,13 @@ def _header(toks, no: int, usage: str, names) -> list[int]:
 
 
 def _headed_lines(text: str, usage: str, names):
-    """The header's counts and the ``(no, tokens)`` of the lines after it.
-    The first line that is neither blank nor a comment must be the header
-    ``usage``, and no later line may start with the header's tag."""
+    """The header's counts, its line number and the ``(no, tokens)`` of the
+    lines after it. The first line that is neither blank nor a comment must
+    be the header ``usage``, and no later line may start with the header's
+    tag."""
     lines = _lines(text)
     for no, toks in lines:
-        return _header(toks, no, usage, names), _after_header(lines, toks[0])
+        return _header(toks, no, usage, names), no, _after_header(lines, toks[0])
     raise FormatError(f"missing '{' '.join(usage.split()[:2])}' header")
 
 
@@ -111,9 +112,11 @@ def _after_header(lines, tag: str):
         yield no, toks
 
 
-def _announced(count: int, got: int, what: str) -> None:
+def _announced(head: int, count: int, got: int, what: str) -> None:
+    """Check ``got``, the number of ``what`` read, against the ``count`` the
+    header on line ``head`` announced."""
     if got != count:
-        raise FormatError(f"header announces {count} {what}, file has {got}")
+        raise FormatError(f"line {head}: header announces {count} {what}, file has {got}")
 
 
 def _id(tok: str, no: int, n: int, what: str) -> int:
@@ -290,13 +293,13 @@ def _parse_graph_bulk(text):
 
 
 def _parse_graph_lines(text: str) -> WeightedGraph:
-    (n, m), lines = _headed_lines(text, "p wcm <n> <m>", ("vertex", "edge"))
+    (n, m), head, lines = _headed_lines(text, "p wcm <n> <m>", ("vertex", "edge"))
     edges = []
     seen = {}
     for no, toks in lines:
         u, v, w = _edge_line(toks, no, n, "e <u> <v> <w>", seen)
         edges.append((u, v, _weight(w, no)))
-    _announced(m, len(edges), "edges")
+    _announced(head, m, len(edges), "edges")
     return WeightedGraph(n, edges)
 
 
@@ -322,7 +325,7 @@ def write_graph(g: WeightedGraph, path) -> None:
 
 
 def parse_cnf_text(text: str) -> Cnf:
-    (nvars, nclauses), lines = _headed_lines(text, "p cnf <vars> <clauses>", ("variable", "clause"))
+    (nvars, nclauses), head, lines = _headed_lines(text, "p cnf <vars> <clauses>", ("variable", "clause"))
     clauses = []
     current = []
     for no, toks in lines:
@@ -339,7 +342,7 @@ def parse_cnf_text(text: str) -> Cnf:
                 current.append(lit)
     if current:
         raise FormatError("unterminated clause at end of file")
-    _announced(nclauses, len(clauses), "clauses")
+    _announced(head, nclauses, len(clauses), "clauses")
     from .reductions import Cnf
 
     return Cnf.build(nvars, clauses)
@@ -361,7 +364,7 @@ def write_cnf_text(f: Cnf) -> str:
 
 
 def parse_steiner_text(text: str) -> SteinerInstance:
-    (n, m), lines = _headed_lines(text, "p steiner <n> <m>", ("vertex", "edge"))
+    (n, m), head, lines = _headed_lines(text, "p steiner <n> <m>", ("vertex", "edge"))
     edges = []
     seen = {}
     terminals = []
@@ -380,7 +383,7 @@ def parse_steiner_text(text: str) -> SteinerInstance:
             raise FormatError(f"line {no}: unknown directive {kind!r}")
     if budget is None:
         raise FormatError("missing 'k' line")
-    _announced(m, len(edges), "edges")
+    _announced(head, m, len(edges), "edges")
     from .reductions import SteinerInstance
 
     return SteinerInstance.build(n, edges, terminals, budget)
@@ -395,7 +398,7 @@ def parse_steiner(path) -> SteinerInstance:
 
 
 def parse_setcover_text(text: str) -> SetCoverInstance:
-    (q, p), lines = _headed_lines(text, "p setcover <q> <p>", ("element", "set"))
+    (q, p), head, lines = _headed_lines(text, "p setcover <q> <p>", ("element", "set"))
     sets = []
     budget = None
     for no, toks in lines:
@@ -408,7 +411,7 @@ def parse_setcover_text(text: str) -> SetCoverInstance:
             raise FormatError(f"line {no}: unknown directive {kind!r}")
     if budget is None:
         raise FormatError("missing 'k' line")
-    _announced(p, len(sets), "sets")
+    _announced(head, p, len(sets), "sets")
     from .reductions import SetCoverInstance
 
     return SetCoverInstance.build(q, sets, budget)
@@ -423,7 +426,7 @@ def parse_setcover(path) -> SetCoverInstance:
 
 
 def parse_wcs_text(text: str) -> VertexWeightedGraph:
-    (n, m), lines = _headed_lines(text, "p wcs <n> <m>", ("vertex", "edge"))
+    (n, m), head, lines = _headed_lines(text, "p wcs <n> <m>", ("vertex", "edge"))
     weights = {}
     edges = []
     seen = {}
@@ -441,7 +444,7 @@ def parse_wcs_text(text: str) -> VertexWeightedGraph:
             edges.append(_edge_line(toks, no, n, "e <u> <v>", seen))
         else:
             raise FormatError(f"line {no}: unknown directive {kind!r}")
-    _announced(m, len(edges), "edges")
+    _announced(head, m, len(edges), "edges")
     if len(weights) != n:
         v = next(v for v in range(n) if v not in weights)
         raise FormatError(f"vertex {v + 1} has no weight line")
@@ -470,7 +473,7 @@ def write_wcs(g: VertexWeightedGraph, path) -> None:
 
 
 def parse_td_text(text: str) -> TreeDecomposition:
-    counts, lines = _headed_lines(text, "s td <bags> <width+1> <n>", ("bag", "bag size", "vertex"))
+    counts, _, lines = _headed_lines(text, "s td <bags> <width+1> <n>", ("bag", "bag size", "vertex"))
     nbags, size, n = counts
     bags: dict[int, set] = {}
     tree_edges = []

@@ -193,9 +193,9 @@ def _lift_steiner(inst: LabeledInstance, source_solution) -> Matching:
     verts, tree_edges = _normalize_tree(src, source_solution)
     q, p, r, _ = steiner_parameters(src)
     pairs = []
+    cycles = _cycle_labels(src, q, r)
     for w in sorted(verts):
-        labels = _cycle_labels(src, w, q, r)
-        pairs += zip(labels[::2], labels[1::2])
+        pairs += zip(cycles[w][::2], cycles[w][1::2])
     for w, u in tree_edges:
         pairs += [(f"path.{w + 1}.{u + 1}.{t}", f"path.{w + 1}.{u + 1}.{t + 1}") for t in range(0, 2 * p, 2)]
     return _lifted_matching(inst, pairs)
@@ -251,9 +251,8 @@ def _project_steiner(inst: LabeledInstance, certificate) -> tuple[frozenset, tup
     saturated = _require_connected_matching(inst, certificate, "certificate").vertices
     src: SteinerInstance = inst.source
     q, p, r, _ = steiner_parameters(src)
-    touched = {
-        w for w in range(src.n) if any(inst.vertex(lab) in saturated for lab in _cycle_labels(src, w, q, r))
-    }
+    cycles = _cycle_labels(src, q, r)
+    touched = {w for w in range(src.n) if any(inst.vertex(lab) in saturated for lab in cycles[w])}
     missing = src.terminals - touched
     if missing:
         raise ReductionError(f"certificate leaves terminal {min(missing)} untouched")

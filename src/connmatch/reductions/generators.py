@@ -89,18 +89,33 @@ def steiner_parameters(inst: SteinerInstance) -> tuple[int, int, int, int]:
     return q, p, r, k
 
 
-def _cycle_labels(inst: SteinerInstance, w: int, q: int, r: int) -> list[str]:
-    """Labels around vertex w's replacement cycle (2r long for a terminal,
-    2q otherwise), with one connector slot per neighbor at evenly spaced
-    positions."""
-    length = 2 * r if w in inst.terminals else 2 * q
-    nbrs = inst.neighbors(w)
-    labels = [f"cyc.{w + 1}.{t}" for t in range(length)]
-    if nbrs:
-        step = length // len(nbrs)
-        for idx, u in enumerate(nbrs):
-            labels[idx * step] = f"vw.{w + 1}.{u + 1}"
-    return labels
+def _rotation(inst: SteinerInstance) -> list[list[int]]:
+    """Each vertex's neighbours in the clockwise order of a planar embedding
+    of the source, or in id order if the source is not planar."""
+    import networkx as nx
+
+    g = nx.Graph(inst.edges)
+    g.add_nodes_from(range(inst.n))
+    planar, embedding = nx.check_planarity(g)
+    if not planar:
+        return [inst.neighbors(w) for w in range(inst.n)]
+    return [list(embedding.neighbors_cw_order(w)) for w in range(inst.n)]
+
+
+def _cycle_labels(inst: SteinerInstance, q: int, r: int) -> list[list[str]]:
+    """Per vertex w, the labels around its replacement cycle (2r long for a
+    terminal, 2q otherwise), with one connector slot per neighbour at evenly
+    spaced positions, in the order of :func:`_rotation`."""
+    out = []
+    for w, nbrs in enumerate(_rotation(inst)):
+        length = 2 * r if w in inst.terminals else 2 * q
+        labels = [f"cyc.{w + 1}.{t}" for t in range(length)]
+        if nbrs:
+            step = length // len(nbrs)
+            for idx, u in enumerate(nbrs):
+                labels[idx * step] = f"vw.{w + 1}.{u + 1}"
+        out.append(labels)
+    return out
 
 
 def gen_planar_subcubic(inst: SteinerInstance) -> LabeledInstance:
@@ -108,8 +123,11 @@ def gen_planar_subcubic(inst: SteinerInstance) -> LabeledInstance:
 
     Terminals become long cycles (2r edges of weight +1), other vertices
     short ones (2q); each source edge becomes a 2p-vertex path of -1 edges
-    whose endpoints hook onto the two cycles by -1 connector edges. Planarity
-    of the output is inherited from the source embedding and is not checked.
+    whose endpoints hook onto the two cycles by -1 connector edges. Around
+    each cycle the connectors follow the clockwise order of a planar
+    embedding of the source, so a planar source gives a planar output. A
+    non-planar source still reduces, with connectors in id order, and its
+    output makes no planarity claim.
     """
     if not inst.terminals:
         raise ReductionError("the terminal set must be non-empty")
@@ -119,8 +137,7 @@ def gen_planar_subcubic(inst: SteinerInstance) -> LabeledInstance:
         raise ReductionError("source graph must be connected")
     q, p, r, k = steiner_parameters(inst)
     b = InstanceBuilder()
-    for w in range(inst.n):
-        labels = _cycle_labels(inst, w, q, r)
+    for labels in _cycle_labels(inst, q, r):
         length = len(labels)
         if length >= 3:
             for t in range(length):

@@ -230,7 +230,9 @@ def _run_dp(g: WeightedGraph, nd: NiceTreeDecomposition, use_reduce: bool) -> Op
     return best
 
 
-def _witness(g: WeightedGraph, candidate: Optional[tuple]) -> tuple[int, Matching]:
+def _solve_nice(g: WeightedGraph, nd: NiceTreeDecomposition, use_reduce: bool = True) -> tuple[int, Matching]:
+    """The DP's optimum and witness from a nice form ``nd`` of ``g``; unchecked."""
+    candidate = _run_dp(g, nd, use_reduce)
     if candidate is None or candidate[0] <= 0:
         return 0, Matching(g, [])
     weight, trace = candidate
@@ -248,17 +250,18 @@ def solve_treewidth(
 ) -> tuple[int, Matching]:
     """Optimum connected matching weight and witness via the treewidth DP.
 
-    ``td`` defaults to a min-fill heuristic decomposition. ``use_reduce``
-    toggles the representative-set pruning (results must not change; the
-    flag exists for the equivalence harness).
+    ``td`` defaults to a min-fill heuristic decomposition, valid by
+    construction; only a given ``td`` is validated, with ``g``'s connectivity.
+    ``use_reduce`` toggles the representative-set pruning (results must not
+    change; the flag exists for the equivalence harness).
     """
     if g.n == 0:
         raise GraphError("treewidth solver needs a non-empty graph")
-    if not is_connected(g):
-        raise GraphError("treewidth solver expects a connected graph")
     if td is None:
         td = heuristic_td(g)
-    validate_td(g, td)
-
-    # validate_td has checked that the bags cover vertex 0
-    return _witness(g, _run_dp(g, make_nice(td, 0), use_reduce))
+    else:
+        if not is_connected(g):
+            raise GraphError("treewidth solver expects a connected graph")
+        validate_td(g, td)
+    # every vertex, 0 included, is in some bag
+    return _solve_nice(g, make_nice(td, 0), use_reduce)

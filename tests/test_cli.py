@@ -3,17 +3,18 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from contextlib import nullcontext
 from pathlib import Path
 
 import pytest
 
-from connmatch import cli, dispatch, fileio
+from connmatch import cli, dispatch, fileio, treewidth_solver
 from connmatch.cli import main
 from connmatch.dispatch import SOLVERS, dispatch_solve
 from connmatch.graphs import GraphError, WeightedGraph, induced_by_matching_connected
 from connmatch.oracle import brute_mwcm
-from connmatch.treedecomp import TdError, TreeDecomposition
+from connmatch.treedecomp import TdError, TreeDecomposition, heuristic_td
 from conftest import (
     cycle_graph,
     path_graph,
@@ -123,9 +124,9 @@ class TestDispatch:
 
 
 def _count_routes(monkeypatch) -> dict:
-    """Count the calls ``dispatch`` makes to the treewidth DP and to the
-    chordal solver."""
-    calls = {"solve_treewidth": 0, "solve_chordal": 0}
+    """Count the calls ``dispatch`` makes to the treewidth DP (its entry on a
+    nice form) and to the chordal solver."""
+    calls = {"_solve_nice": 0, "solve_chordal": 0}
     for name in calls:
         solver = getattr(dispatch, name)
 
@@ -152,17 +153,17 @@ class TestChordalRoute:
             w, m = dispatch_solve(g)
             assert w == brute_mwcm(g, edge_limit=64).optimum
             assert m.weight == w and induced_by_matching_connected(g, m)
-        assert calls["solve_treewidth"] > 0 and calls["solve_chordal"] > 0
+        assert calls["_solve_nice"] > 0 and calls["solve_chordal"] > 0
 
     def test_sparse_chordal_goes_to_the_dp(self, monkeypatch):
         calls = _count_routes(monkeypatch)
         dispatch_solve(random_chordal_graph(random.Random(6), 200, 0, 9, max_clique=4))
-        assert calls == {"solve_treewidth": 1, "solve_chordal": 0}
+        assert calls == {"_solve_nice": 1, "solve_chordal": 0}
 
     def test_dense_ktree_goes_to_the_blossom(self, monkeypatch):
         calls = _count_routes(monkeypatch)
         dispatch_solve(random_ktree(random.Random(7), 60, 6))
-        assert calls == {"solve_treewidth": 0, "solve_chordal": 1}
+        assert calls == {"_solve_nice": 0, "solve_chordal": 1}
 
     @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
     def test_only_the_blossom_loads_networkx(self, tmp_path, dense):
@@ -177,6 +178,66 @@ class TestChordalRoute:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == f"0 {dense}"
+
+
+def _two_copies(g: WeightedGraph) -> WeightedGraph:
+    """``g`` and a copy of it side by side, so dispatch cuts two components."""
+    return WeightedGraph(2 * g.n, list(g.edges) + [(u + g.n, v + g.n, w) for u, v, w in g.edges])
+
+
+def _dense(seed: int = 3) -> WeightedGraph:
+    """Connected, not chordal, and too many edges for brute force."""
+    return random_connected_graph(random.Random(seed), 10, 18)
+
+
+# route -> (graph, components, --solver, whether a --td is given, DP runs)
+PLAN_ROUTES = {
+    "auto-heuristic": (lambda: _two_copies(_dense()), 2, "auto", False, 2),
+    "auto-peo-dp": (lambda: random_chordal_graph(random.Random(6), 200, 0, 9, max_clique=4), 1, "auto", False, 1),
+    "auto-peo-blossom": (lambda: random_ktree(random.Random(7), 60, 6), 1, "auto", False, 0),
+    "auto-td": (_dense, 1, "auto", True, 1),
+    "treewidth": (lambda: _two_copies(_dense()), 2, "treewidth", False, 2),
+    "treewidth-td": (_dense, 1, "treewidth", True, 1),
+}
+
+
+class TestOnePlanPerComponent:
+    """On every route to the DP, a component's nice form is built once, only
+    a given decomposition is validated, once, and the DP never checks again
+    that a component dispatch has cut is connected."""
+
+    @pytest.mark.parametrize("route", PLAN_ROUTES)
+    def test_each_step_runs_once(self, route, tmp_path, monkeypatch, capsys):
+        make, components, solver, with_td, dp_runs = PLAN_ROUTES[route]
+        g = make()
+        weight = dispatch_solve(g)[0]  # before the counters go in
+        gp = tmp_path / "g.gr"
+        fileio.write_graph(g, gp)
+        argv = ["solve", "--graph", str(gp), "--solver", solver]
+        if with_td:
+            fileio.write_td(heuristic_td(g), g.n, tmp_path / "g.td")
+            argv += ["--td", str(tmp_path / "g.td")]
+        calls = Counter()
+        for module, name in [
+            (dispatch, "make_nice"),
+            (treewidth_solver, "make_nice"),
+            (dispatch, "validate_td"),
+            (treewidth_solver, "validate_td"),
+            (treewidth_solver, "is_connected"),
+            (treewidth_solver, "_run_dp"),
+        ]:
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"w {weight}\n"
+        assert calls["make_nice"] <= components
+        assert calls["validate_td"] == with_td
+        # the public front checks a given td's graph, which dispatch has not cut
+        assert calls["is_connected"] == (solver == "treewidth" and with_td)
+        assert calls["_run_dp"] == dp_runs
 
 
 class TestCliSolveVerify:

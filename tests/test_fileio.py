@@ -199,6 +199,23 @@ def test_bad_line_is_named(parse, text, message):
         parse(text)
 
 
+@pytest.mark.parametrize(
+    "parse, text, line, announced",
+    [
+        (fileio.parse_graph_text, "p wcm 3 5\ne 1 2 1\n", 1, "5 edges, file has 1"),
+        (fileio.parse_graph_text, "c x\np wcm 3 0\ne 1 2 1\n", 2, "0 edges, file has 1"),
+        (fileio.parse_cnf_text, "c x\n\np cnf 2 2\n1 -2 0\n", 3, "2 clauses, file has 1"),
+        (fileio.parse_steiner_text, "p steiner 2 2\ne 1 2\nt 1\nk 1\n", 1, "2 edges, file has 1"),
+        (fileio.parse_setcover_text, "c x\np setcover 1 2\ns 1\nk 1\n", 2, "2 sets, file has 1"),
+        (fileio.parse_wcs_text, "p wcs 2 0\nv 1 1\nv 2 1\ne 1 2\n", 1, "0 edges, file has 1"),
+    ],
+    ids=["graph-bulk-layout", "graph", "cnf", "steiner", "setcover", "wcs"],
+)
+def test_count_mismatch_names_the_header_line(parse, text, line, announced):
+    with pytest.raises(FormatError, match=f"^line {line}: header announces {announced}$"):
+        parse(text)
+
+
 class TestNonUtf8:
     @pytest.mark.parametrize(
         "parse, data, line",

@@ -126,8 +126,8 @@ DIGESTS = {
     },
     'steiner': {
         'k': '9aa94d45e5dea868deae30a35f1f0eb76040df2ab9a34ef3ac6da864314971d2',
-        'graph': '90f96e611b4d98818c7a624a43d24c5dd31e031b378c0a96153a8a1b86e783df',
-        'map': '8b05c3b7dd41db421a8a9a3081f81ef1293a2a2778e560e11e989071dd1e6132',
+        'graph': '993494902af40ae6e4b28bf7fd396c7711704c8446703f47f9f646373b4257f1',
+        'map': '71b8dba34d671ce840ed8dde0b0339ae932d410e325016cb4a62add9ed17a415',
         'lifted': '6f76acaa942eee78196df2dd410f201d6858eae94195be2988da9ab0d9b6d678',
         'projected': '9a227f23800d976537e79087a2d312b9489946ed53adba1a9626628c50390986',
     },

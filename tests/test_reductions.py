@@ -2,6 +2,7 @@ import random
 import time
 from itertools import combinations, product
 
+import networkx as nx
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -220,6 +221,117 @@ def steiner_yes(inst: SteinerInstance) -> bool:
             if seen == verts:
                 return True
     return False
+
+
+def is_planar(n: int, edges) -> bool:
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from((e[0], e[1]) for e in edges)
+    return nx.check_planarity(g)[0]
+
+
+def _grid(rows: int, cols: int) -> list:
+    edges = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    return edges + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+
+
+def grid_edges(rng: random.Random) -> tuple[int, list]:
+    rows, cols = rng.randint(2, 3), rng.randint(2, 3)
+    return rows * cols, _grid(rows, cols)
+
+
+def outerplanar_edges(rng: random.Random) -> tuple[int, list]:
+    """A cycle with non-crossing chords: each chord splits the polygon it
+    cuts, and later chords stay inside one side."""
+    n = rng.randint(4, 8)
+    edges = [(v, (v + 1) % n) for v in range(n)]
+    polygons = [list(range(n))]
+    for _ in range(rng.randint(0, n - 3)):
+        poly = max(polygons, key=len)
+        if len(poly) < 4:
+            break
+        i = rng.randrange(len(poly))
+        j = (i + rng.randint(2, len(poly) - 2)) % len(poly)
+        i, j = min(i, j), max(i, j)
+        edges.append((poly[i], poly[j]))
+        polygons.remove(poly)
+        polygons += [poly[i : j + 1], poly[j:] + poly[: i + 1]]
+    return n, edges
+
+
+def random_planar_edges(rng: random.Random) -> tuple[int, list]:
+    """A grid with one random diagonal in some cells, less random edges
+    whose removal keeps it connected."""
+    rows, cols = rng.randint(2, 3), rng.randint(2, 3)
+    n, edges = rows * cols, _grid(rows, cols)
+    for r in range(rows - 1):
+        for c in range(cols - 1):
+            corner = r * cols + c
+            diagonal = rng.choice([(corner, corner + cols + 1), (corner + 1, corner + cols), None])
+            if diagonal:
+                edges.append(diagonal)
+    rng.shuffle(edges)
+    for e in list(edges):
+        rest = nx.Graph([f for f in edges if f != e])
+        if rng.random() < 0.3 and len(rest) == n and nx.is_connected(rest):
+            edges.remove(e)
+    return n, edges
+
+
+PLANAR_SOURCES = {"grid": grid_edges, "outerplanar": outerplanar_edges, "random-planar": random_planar_edges}
+
+
+def nested_monotone(rng: random.Random, nvars: int) -> Cnf:
+    """A monotone formula of planar shape: each clause (a, mid, b) has
+    a < mid < b, and clauses of the same sign nest only between two
+    consecutive legs of an enclosing clause."""
+    clauses = []
+
+    def fill(lo: int, hi: int, sign: int) -> None:
+        while hi - lo >= 2 and rng.random() < 0.7:
+            a = rng.randint(lo, hi - 2)
+            b = rng.randint(a + 2, hi)
+            mid = rng.randint(a + 1, b - 1)
+            clauses.append((sign * a, sign * mid, sign * b))
+            fill(a, mid, sign)
+            fill(mid, b, sign)
+            lo = b
+
+    fill(1, nvars, 1)
+    fill(1, nvars, -1)
+    return Cnf.build(nvars, clauses)
+
+
+class TestPlanarSourcesGivePlanarGadgets:
+    """The planar reductions keep a planar source planar, within their
+    degree bound and weight alphabet."""
+
+    @pytest.mark.parametrize("family", sorted(PLANAR_SOURCES))
+    def test_steiner(self, family):
+        rng = random.Random(f"planar-steiner/{family}")
+        for _ in range(20):
+            n, edges = PLANAR_SOURCES[family](rng)
+            assert is_planar(n, edges)
+            terminals = rng.sample(range(n), rng.randint(2, min(4, n)))
+            out = gen_planar_subcubic(SteinerInstance.build(n, edges, terminals, n - 1))
+            assert is_planar(out.graph.n, out.graph.edges), (n, edges, terminals)
+            assert out.graph.max_degree() <= 3
+            assert weights_of(out.graph) <= {-1, 1}
+
+    def test_non_planar_steiner_source_still_reduces(self):
+        k5 = [(u, v) for u in range(5) for v in range(u + 1, 5)]
+        out = gen_planar_subcubic(SteinerInstance.build(5, k5, [0, 1], 1))
+        assert out.graph.max_degree() <= 3
+        assert lift_certificate(out, [(0, 1)]).weight == out.k
+
+    def test_monotone(self):
+        rng = random.Random("planar-monotone")
+        for _ in range(60):
+            f = nested_monotone(rng, rng.randint(3, 14))
+            out = gen_planar_bipartite(f)
+            assert is_planar(out.graph.n, out.graph.edges), f.clauses
+            assert classify(out.graph).bipartition is not None
+            assert weights_of(out.graph) <= {0, 1}
 
 
 class TestCrossComposition:
